@@ -5,8 +5,22 @@ small multisets, reproducing the kind of table you would build by hand
 when comparing candidate bases.
 """
 
-from optibase import Multiset, breakdown, comparator_count, digit_matrix
-from optibase import num_comp, sum_carry, sum_digits, weights
+from optibase import (CostKind, Multiset, comparator_count, cost_of,
+                      digits_of, weights)
+
+
+def columns_and_carries(s, base):
+    """Column sums of the digit matrix, and the carries that ripple
+    between positions when the columns are added up."""
+    sums = [0] * (len(base) + 1)
+    for v in s:
+        for j, d in enumerate(digits_of(v, base)):
+            sums[j] += d
+    carries = [0]
+    for j, r in enumerate(base):
+        carries.append((sums[j] + carries[j]) // r)
+    return sums, carries
+
 
 S = Multiset.of([16, 30, 54, 60])
 
@@ -22,8 +36,9 @@ for label, base in [
     ("mixed    <3,5,2,2>", (3, 5, 2, 2)),
     ("unary    <>", ()),
 ]:
-    rows = digit_matrix(S, base).rows
-    print(f"  {label:24} digit sum {sum_digits(S, base):3}   rows: "
+    rows = [digits_of(v, base) for v in S]
+    digit_sum = cost_of(CostKind.SUM_DIGITS, S, base)
+    print(f"  {label:24} digit sum {digit_sum:3}   rows: "
           + "  ".join(str(list(r)) for r in rows))
 print()
 print("The mixed base <3,5,2,2> (weights", list(weights((3, 5, 2, 2))),
@@ -40,10 +55,10 @@ print()
 print(f"{'base':14} {'column sums':16} {'carries':16} "
       f"{'digits':>6} {'+carry':>6} {'comps':>6}")
 for base in [(2, 3, 3), (3, 2, 3), (2, 2, 2, 2)]:
-    b = breakdown(S2, base)
-    print(f"{str(base):14} {str(list(b.column_sums)):16} "
-          f"{str(list(b.carries)):16} {sum_digits(S2, base):6} "
-          f"{sum_carry(S2, base):6} {num_comp(S2, base):6}")
+    sums, carries = columns_and_carries(S2, base)
+    costs = [cost_of(kind, S2, base) for kind in CostKind]
+    print(f"{str(base):14} {str(sums):16} {str(carries):16} "
+          + " ".join(f"{c:6}" for c in costs))
 print()
 print("Comparator counts per position come from the n-input network sizes:")
 print("  f(n) for n = 0..8:", [comparator_count(n) for n in range(9)])

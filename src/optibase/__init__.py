@@ -1,23 +1,13 @@
 """Minimum-cost mixed radix bases for multisets of positive integers, and
 sorter-network compilation of Pseudo-Boolean constraints to CNF."""
 
-from .cost import (BaseEval, CostBreakdown, CostKind, breakdown,
-                   comparator_count, cost_alpha, cost_of, heuristic,
-                   num_comp, partial_cost, sum_carry, sum_digits)
-from .encoder import (FALSE, TRUE, Cnf, CnfBuilder, ConstraintStats,
-                      PbConstraint, comparator, decompose, encode_constraint,
-                      encode_geq, encode_instance, neg, normalizer,
-                      sorting_network, to_dimacs)
-from .mixedradix import (Base, DigitMatrix, DigitVector, Multiset,
-                         digit_matrix, digits_of, is_redundant, product,
-                         validate_base, value_of, weights)
-from .opb import (OpbParseError, PbInstance, RawConstraint,
-                  coefficient_multiset, instance_to_opb, load_instance,
-                  normalize, parse)
-from .satcheck import Solver, SolverBudgetExceeded, solve
-from .search import (HashPriorityQueue, SearchConfig, SearchResult,
-                     branch_and_bound, brute_force, count_bases, dfs_hp,
-                     extenders, find_base, hash_bnb, initial_best,
-                     primes_up_to)
+from .cost import CostKind, comparator_count, cost_of
+from .encoder import (CnfBuilder, PbConstraint, encode_constraint,
+                      encode_instance, to_dimacs)
+from .mixedradix import Multiset, digits_of, weights
+from .opb import OpbParseError, load_instance
+from .satcheck import Solver, SolverBudgetExceeded
+from .search import (SearchConfig, branch_and_bound, brute_force, count_bases,
+                     dfs_hp, find_base, hash_bnb)
 
 __version__ = "0.1.0"

@@ -18,9 +18,10 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .cost import CostKind
-from .encoder import Cnf, encode_instance, to_dimacs
-from .mixedradix import Multiset
-from .opb import OpbParseError, coefficient_multiset, load_instance, parse
+from .encoder import Cnf, PbConstraint, encode_instance, to_dimacs
+from .mixedradix import Multiset, validate_base
+from .opb import (OpbParseError, PbInstance, coefficient_multiset,
+                  instance_to_opb, load_instance)
 from .satcheck import Solver, SolverBudgetExceeded
 from .search import SearchConfig, find_base
 
@@ -87,12 +88,9 @@ def _parse_multiset(text: str) -> Multiset:
 
 def _parse_base(text: str) -> tuple[int, ...]:
     try:
-        base = tuple(int(t) for t in text.replace(",", " ").split())
+        return validate_base(int(t) for t in text.replace(",", " ").split())
     except ValueError as e:
         raise UsageError(f"bad base {text!r}: {e}") from None
-    if any(r < 2 for r in base):
-        raise UsageError("base radices must be at least 2")
-    return base
 
 
 def _fmt_base(base) -> str:
@@ -232,9 +230,7 @@ def _run_external_solver(path: str, cnf: Cnf) -> tuple[bool, dict[int, bool]]:
 
 
 def cmd_solve(args) -> int:
-    text = Path(args.input).read_text()
-    inst, cnf, stats = _encode(args, text)
-    raws, _ = parse(text)
+    inst, cnf, stats = _encode(args, Path(args.input).read_text())
     if any(st.statically_unsat for st in stats) or cnf.has_empty_clause:
         print("UNSAT")
         return EXIT_OK
@@ -251,7 +247,7 @@ def cmd_solve(args) -> int:
         return EXIT_OK
     named = {name: bool(model.get(i + 1, False))
              for i, name in enumerate(inst.names)}
-    for rc in raws:
+    for rc in inst.raws:
         if not rc.holds(named):
             raise ToolError(
                 f"solver model does not satisfy the constraint on line {rc.line}")
@@ -281,32 +277,27 @@ def _gen_multisets(n: int, seed: int, gen_max: int, gen_size: int):
 
 def _amplified_instances(paths, emit_dir: str | None):
     """Scaled copies of each instance: coefficients and thresholds times
-    31**i for i in 0..5, plus a unit slack term so the scale factor
-    survives gcd reduction."""
+    31**i for i in 0..5, plus a unit slack term on a fresh variable so the
+    scale factor would survive gcd reduction."""
     problems = []
     for path in paths:
         inst = load_instance(Path(path).read_text())
-        slack = max((int(n[1:]) for n in inst.names), default=0)
+        top = max((int(n[1:]) for n in inst.names), default=0)
+        names = inst.names + [f"x{top + 1 + ci}"
+                              for ci in range(len(inst.constraints))]
         for i in range(6):
             factor = 31 ** i
-            lines = []
-            fresh = slack
-            for ci, pc in enumerate(inst.constraints):
-                parts = []
-                for coef, lit in pc.terms:
-                    name = inst.name_of(abs(lit))
-                    parts.append(f"+{coef * factor} {'~' if lit < 0 else ''}{name}")
-                fresh += 1
-                parts.append(f"+1 x{fresh}")
-                parts.append(f">= {pc.threshold * factor} ;")
-                lines.append(" ".join(parts))
-            text = "\n".join(lines) + "\n"
+            scaled = [PbConstraint(
+                tuple((c * factor, lit) for c, lit in pc.terms)
+                + ((1, len(inst.names) + 1 + ci),), pc.threshold * factor)
+                for ci, pc in enumerate(inst.constraints)]
             name = f"{Path(path).stem}.31pow{i}"
             if emit_dir:
                 Path(emit_dir).mkdir(parents=True, exist_ok=True)
+                ids = {n: k for k, n in enumerate(names, start=1)}
+                text = instance_to_opb(PbInstance(names, ids, scaled, []))
                 (Path(emit_dir) / f"{name}.opb").write_text(text)
-            scaled = load_instance(text)
-            for ci, pc in enumerate(scaled.constraints):
+            for ci, pc in enumerate(scaled):
                 elems = _bench_multiset(pc)
                 if elems:
                     problems.append((f"{name}:{ci}", elems))
@@ -464,8 +455,6 @@ def build_parser() -> _Parser:
     p.add_argument("--primes", choices=["auto", "on", "off"], default="auto")
     p.add_argument("--timeout", type=float, default=600.0,
                    help="per-search timeout (default 600)")
-    p.add_argument("--instance-timeout", type=float, default=1800.0,
-                   help="per-instance budget when reading OPB files")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="-", help="CSV path or - for stdout")
     p.add_argument("--amplify-31", action="store_true",

@@ -2,15 +2,18 @@
 
 Three measures of how expensive a base makes the sorter construction:
 
-* ``sum_digits``  - total number of digits of the multiset in the base,
-  i.e. the number of inputs fed to the sorting networks.
-* ``sum_carry``   - digits plus the carry bits that ripple between digit
+* ``digits`` - total number of digits of the multiset in the base, i.e.
+  the number of inputs fed to the sorting networks.
+* ``carry``  - digits plus the carry bits that ripple between digit
   positions when the columns are summed.
-* ``num_comp``    - total comparators of the sorting networks sized by the
+* ``comp``   - total comparators of the sorting networks sized by the
   per-position input counts.
 
-Each cost comes with a partial cost (the part every extension of the base
-must pay) and an admissible heuristic, whose sum ``cost_alpha`` never
+One engine computes all three: ``BaseEval`` holds the state of a base and
+re-costs an extension from its parent's state.  ``cost_of`` folds
+``BaseEval.extend`` from the root over a whole base.  Each state also
+gives a partial cost (the part every extension of the base must pay) and
+an admissible bound ``alpha`` (partial cost plus a heuristic) that never
 overestimates the cost of any extension.  All values are integers; no
 floating point is used anywhere.
 """
@@ -19,12 +22,11 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .mixedradix import Multiset, digits_of, product
+from .mixedradix import Multiset
 
 _SMALL_NETWORK_SIZES = (0, 0, 1, 3, 5, 9, 12, 16, 19)
 
@@ -48,92 +50,6 @@ def comparator_count(n: int) -> int:
         return _SMALL_NETWORK_SIZES[n]
     levels = (n - 1).bit_length()
     return n * levels * (levels - 1) // 4 + n - 1
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    """Per-position column sums and carries for a digit matrix.
-
-    carries[0] = 0 and carries[j+1] = (column_sums[j] + carries[j]) div
-    base[j]; no carry is taken out of the most significant position.
-    """
-
-    column_sums: tuple[int, ...]
-    carries: tuple[int, ...]
-
-    def inputs(self, j: int) -> int:
-        """Number of inputs of the sorting network at position j."""
-        return self.column_sums[j] + self.carries[j]
-
-    def network_sizes(self) -> tuple[int, ...]:
-        return tuple(s + c for s, c in zip(self.column_sums, self.carries))
-
-
-def breakdown(s: Multiset, base: Sequence[int]) -> CostBreakdown:
-    base = tuple(base)
-    k = len(base)
-    sums = [0] * (k + 1)
-    for value, mult in s.counts:
-        for j, d in enumerate(digits_of(value, base)):
-            sums[j] += d * mult
-    carries = [0] * (k + 1)
-    for j in range(k):
-        carries[j + 1] = (sums[j] + carries[j]) // base[j]
-    return CostBreakdown(tuple(sums), tuple(carries))
-
-
-def sum_digits(s: Multiset, base: Sequence[int]) -> int:
-    return sum(breakdown(s, base).column_sums)
-
-
-def sum_carry(s: Multiset, base: Sequence[int]) -> int:
-    b = breakdown(s, base)
-    return sum(b.column_sums) + sum(b.carries)
-
-
-def num_comp(s: Multiset, base: Sequence[int]) -> int:
-    b = breakdown(s, base)
-    return sum(comparator_count(b.inputs(j)) for j in range(len(b.column_sums)))
-
-
-def cost_of(kind: CostKind, s: Multiset, base: Sequence[int]) -> int:
-    if kind is CostKind.SUM_DIGITS:
-        return sum_digits(s, base)
-    if kind is CostKind.SUM_CARRY:
-        return sum_carry(s, base)
-    return num_comp(s, base)
-
-
-def partial_cost(kind: CostKind, s: Multiset, base: Sequence[int]) -> int:
-    """The share of the cost that any extension of ``base`` keeps paying.
-
-    For the digit-counting costs this is the cost minus the most
-    significant digit column; for the comparator cost it is the cost minus
-    the last network.
-    """
-    b = breakdown(s, base)
-    k = len(b.column_sums) - 1
-    if kind is CostKind.NUM_COMP:
-        total = sum(comparator_count(b.inputs(j)) for j in range(k + 1))
-        return total - comparator_count(b.inputs(k))
-    total = sum(b.column_sums)
-    if kind is CostKind.SUM_CARRY:
-        total += sum(b.carries)
-    return total - b.column_sums[k]
-
-
-def heuristic(kind: CostKind, s: Multiset, base: Sequence[int]) -> int:
-    """Admissible lower bound on the extra cost any extension must add:
-    the number of elements (with multiplicity) at least the base product.
-    Zero for the comparator cost."""
-    if kind is CostKind.NUM_COMP:
-        return 0
-    prod = product(base)
-    return sum(mult for value, mult in s.counts if value >= prod)
-
-
-def cost_alpha(kind: CostKind, s: Multiset, base: Sequence[int]) -> int:
-    return partial_cost(kind, s, base) + heuristic(kind, s, base)
 
 
 def _bit_length(a: np.ndarray) -> np.ndarray:
@@ -203,6 +119,14 @@ class BaseEval:
             0, 0, 0, int(values @ mults), 0,
         )
 
+    @staticmethod
+    def of(s: Multiset, base: Sequence[int]) -> "BaseEval":
+        """The state of ``base``: ``extend`` folded from the root."""
+        ev = BaseEval.root(s)
+        for p in base:
+            ev = ev.extend(p)
+        return ev
+
     def extend(self, p: int) -> "BaseEval":
         rem = self.cur % p
         newcur = self.cur // p
@@ -268,3 +192,7 @@ class BaseEval:
         idx = np.searchsorted(self.values, self.prod * ps, side="left")
         alpha = part + self.suffix_counts[idx]
         return cost, alpha
+
+
+def cost_of(kind: CostKind, s: Multiset, base: Sequence[int]) -> int:
+    return BaseEval.of(s, base).cost(kind)

@@ -77,16 +77,6 @@ class PbConstraint:
     def coefficient_sum(self) -> int:
         return sum(c for c, _ in self.terms)
 
-    def holds(self, assignment: dict[int, bool]) -> bool:
-        total = 0
-        for coef, lit in self.terms:
-            v = assignment[abs(lit)]
-            if lit < 0:
-                v = not v
-            if v:
-                total += coef
-        return total >= self.threshold
-
 
 class CnfBuilder:
     """Fresh-variable allocator and clause sink with emission statistics.
@@ -291,16 +281,17 @@ def normalizer(sorted_bus: UnaryBus, radix: int, bld: CnfBuilder
                ) -> tuple[UnaryBus, tuple[Lit, ...]]:
     """Split a sorted bus into its value modulo ``radix`` and the carries.
 
-    Every radix-th output is a carry.  The remainder bus R has radix - 1
-    literals with R_i true exactly when the bus value modulo radix is at
-    least i, realized as the disjunction over t of
-    (value >= t*radix + i) and not (value >= (t+1)*radix).
+    Every radix-th output is a carry.  The remainder bus R has
+    min(radix - 1, m) literals for a bus of m, with R_i true exactly when
+    the bus value modulo radix is at least i, realized as the disjunction
+    over t of (value >= t*radix + i) and not (value >= (t+1)*radix).  The
+    lines R_i for m < i < radix would be constant FALSE and are left out.
     """
     m = len(sorted_bus)
     r = radix
     carries = tuple(sorted_bus[t * r - 1] for t in range(1, m // r + 1))
     remainder: list[Lit] = []
-    for i in range(1, r):
+    for i in range(1, min(r, m + 1)):
         windows: list[Lit] = []
         t = 0
         while t * r + i <= m:

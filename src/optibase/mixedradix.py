@@ -16,15 +16,18 @@ Base = tuple[int, ...]
 DigitVector = tuple[int, ...]
 
 # Values are arbitrary-width in contract but kept 64-bit safe in practice:
-# every weight and product used on a non-redundant base is bounded by max(S).
+# every weight and product used on a non-redundant base is bounded by max(S),
+# and every column sum and carry by sum(S), which must stay below 2**63.
 MAX_ELEMENT = 1 << 62
+MAX_SUM = 1 << 63
 
 
 def validate_base(radices: Sequence[int]) -> Base:
     base = tuple(int(r) for r in radices)
     for r in base:
-        if r < 2:
-            raise ValueError(f"invalid radix {r}: every radix must be at least 2")
+        if not 2 <= r <= MAX_ELEMENT:
+            raise ValueError(
+                f"invalid radix {r}: every radix must be in 2..2**62")
     return base
 
 
@@ -92,6 +95,8 @@ class Multiset:
             raise ValueError(f"multiset elements must be positive, got {elems[0]}")
         if elems[-1] > MAX_ELEMENT:
             raise ValueError(f"element {elems[-1]} exceeds the supported bound 2**62")
+        if sum(elems) >= MAX_SUM:
+            raise ValueError("multiset sum exceeds the supported bound 2**63 - 1")
         return Multiset(elems)
 
     @property

@@ -58,7 +58,7 @@ class PbInstance:
     names: list[str]                      # index i holds the name of id i+1
     ids: dict[str, int]
     constraints: list[PbConstraint]
-    sources: list[int]                    # source line per constraint
+    raws: list[RawConstraint]             # the constraints as written
     objective: tuple[tuple[int, str, bool], ...] | None = None
     skipped_objective: bool = False
 
@@ -215,16 +215,11 @@ def normalize(rc: RawConstraint, ids: dict[str, int],
 def load_instance(text: str, saturate: bool = False) -> PbInstance:
     raws, objective = parse(text)
     ids: dict[str, int] = {}
-    constraints: list[PbConstraint] = []
-    sources: list[int] = []
-    for rc in raws:
-        for pc in normalize(rc, ids, saturate):
-            constraints.append(pc)
-            sources.append(rc.line)
+    constraints = [pc for rc in raws for pc in normalize(rc, ids, saturate)]
     names = [None] * len(ids)
     for name, i in ids.items():
         names[i - 1] = name
-    return PbInstance(names, ids, constraints, sources,
+    return PbInstance(names, ids, constraints, raws,
                       objective=objective,
                       skipped_objective=objective is not None)
 

@@ -15,13 +15,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import isqrt
+from operator import attrgetter
 
 import numpy as np
 
-from .cost import BaseEval, CostKind
+from .cost import BaseEval, CostKind, cost_of
 from .mixedradix import Base, Multiset, product
 
 BRUTE_FORCE_MAX = 10_000
+
+# The comp cost is batch-evaluated in int64.  No network has more inputs n
+# than sum(S), and all networks together have at most 2*sum(S).  Below
+# sum(S) = 2**51, L = bit_length(n - 1) <= 51, so n*L*(L-1) < 2**63 and a
+# whole comp cost, at most 639 comparators per input, stays under 2**62.
+COMP_SUM_LIMIT = 1 << 51
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -92,19 +99,17 @@ def initial_best(s: Multiset) -> Base:
     return (2,) * (s.max.bit_length() - 1)
 
 
-def _eval_base(root: BaseEval, base) -> BaseEval:
-    ev = root
-    for p in base:
-        ev = ev.extend(p)
-    return ev
-
-
 def _initial_candidates(root: BaseEval, kind: CostKind) -> tuple[Base, int]:
     """Upper bound to start from: the binary base, or the root itself when
     the empty base is already cheaper (possible under the carry-aware
-    costs, where extending can add more carry bits than it saves)."""
+    costs, where extending can add more carry bits than it saves).
+    Refuses comp searches whose costs could leave int64."""
+    if kind is CostKind.NUM_COMP and root.msd_sum >= COMP_SUM_LIMIT:
+        raise ValueError(
+            f"the comp cost is limited to multisets with sum < 2**51, "
+            f"got {root.msd_sum}")
     best = initial_best(root.multiset)
-    best_cost = _eval_base(root, best).cost(kind)
+    best_cost = cost_of(kind, root.multiset, best)
     root_cost = root.cost(kind)
     if root_cost < best_cost:
         return (), root_cost
@@ -163,52 +168,32 @@ def dfs_hp(s: Multiset, cfg: SearchConfig) -> SearchResult:
                         timer.elapsed(), not timed_out, timed_out, "dfs")
 
 
-class _PlainQueue:
-    """Binary heap of (key, state); key = (alpha, product, length, radices)."""
-
-    def __init__(self):
-        self._heap: list = []
-
-    def __len__(self):
-        return len(self._heap)
-
-    def push(self, key, state) -> bool:
-        heappush(self._heap, (key, state))
-        return True
-
-    def peek_alpha(self) -> int:
-        return self._heap[0][0][0]
-
-    def pop_min(self):
-        return heappop(self._heap)[1]
-
-
 class HashPriorityQueue:
-    """Min priority queue holding at most one resident base per product.
+    """Min priority queue of (key, state) holding at most one resident
+    entry per slot, a hashable value the caller supplies with each push.
 
-    Pushing a base whose product is already resident keeps whichever of
-    the two has the smaller cost underestimate (ties keep the resident);
-    the loser is dropped, or tombstoned if it was already on the heap.
+    Pushing into an occupied slot keeps whichever of the two entries has
+    the smaller cost underestimate key[0] (ties keep the resident); the
+    loser is dropped, or tombstoned if it was already on the heap.
     """
 
     def __init__(self):
         self._heap: list[list] = []
-        self._by_product: dict[int, list] = {}
+        self._by_slot: dict = {}
         self._size = 0
 
     def __len__(self):
         return self._size
 
-    def push(self, key, state) -> bool:
-        prod = key[1]
-        resident = self._by_product.get(prod)
+    def push(self, key, state, slot) -> bool:
+        resident = self._by_slot.get(slot)
         if resident is not None:
             if resident[0][0] <= key[0]:
                 return False
             resident[2] = False  # lazy deletion
             self._size -= 1
-        entry = [key, state, True]
-        self._by_product[prod] = entry
+        entry = [key, state, True, slot]
+        self._by_slot[slot] = entry
         heappush(self._heap, entry)
         self._size += 1
         return True
@@ -226,7 +211,7 @@ class HashPriorityQueue:
         entry = heappop(self._heap)
         entry[2] = False
         self._size -= 1
-        del self._by_product[entry[0][1]]
+        del self._by_slot[entry[3]]
         return entry[1]
 
 
@@ -239,8 +224,9 @@ def _queue_search(s: Multiset, cfg: SearchConfig, hashed: bool) -> SearchResult:
     timer = _Timer(cfg.timeout)
     root = BaseEval.root(s)
     best_base, best_cost = _initial_candidates(root, kind)
-    queue = HashPriorityQueue() if hashed else _PlainQueue()
-    queue.push(_key(root, root.alpha(kind)), root)
+    slot_of = attrgetter("prod" if hashed else "base")
+    queue = HashPriorityQueue()
+    queue.push(_key(root, root.alpha(kind)), root, slot_of(root))
     expanded = 0
     pruned = 0
     timed_out = False
@@ -262,7 +248,8 @@ def _queue_search(s: Multiset, cfg: SearchConfig, hashed: bool) -> SearchResult:
                 pruned += 1
                 continue
             child = state.extend(int(ps[i]))
-            if not queue.push(_key(child, int(alphas[i])), child):
+            key = _key(child, int(alphas[i]))
+            if not queue.push(key, child, slot_of(child)):
                 pruned += 1
             if costs[i] < best_cost:
                 best_base, best_cost = child.base, int(costs[i])
@@ -274,7 +261,8 @@ def _queue_search(s: Multiset, cfg: SearchConfig, hashed: bool) -> SearchResult:
 
 
 def branch_and_bound(s: Multiset, cfg: SearchConfig) -> SearchResult:
-    """Best-first branch and bound over a plain priority queue."""
+    """Best-first branch and bound; every base has a queue slot of its own,
+    so no push is ever dropped."""
     return _queue_search(s, cfg, hashed=False)
 
 

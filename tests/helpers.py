@@ -1,13 +1,18 @@
 """Independent oracles the tests check the library against.
 
-Everything here recomputes results from first principles (explicit digit
+The oracles recompute results from first principles (explicit digit
 chains, full matrices, exhaustive enumeration) without touching the
-library's incremental or pruned code paths.
+library's incremental or pruned code paths.  Two readers at the end
+expose the library's own per-position view, from the cost engine and
+from the emitted encoding, so tests can set it against the oracles.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from optibase.cost import BaseEval
+from optibase.encoder import CnfBuilder, PbConstraint, decompose, encode_constraint
 
 F_TABLE = (0, 0, 1, 3, 5, 9, 12, 16, 19)
 
@@ -48,6 +53,29 @@ def cost_oracle(kind: str, elements, base) -> int:
     if kind == "carry":
         return sum(sums) + sum(carries)
     return sum(f_oracle(s + c) for s, c in zip(sums, carries))
+
+
+def partial_oracle(kind: str, elements, base) -> int:
+    """The cost every extension of ``base`` keeps paying: the cost without
+    the most significant column, or without the last network for comp."""
+    sums, carries = breakdown_oracle(elements, base)
+    k = len(base)
+    if kind == "comp":
+        return sum(f_oracle(s + c) for s, c in zip(sums[:k], carries[:k]))
+    if kind == "carry":
+        return sum(sums[:k]) + sum(carries)
+    return sum(sums[:k])
+
+
+def heuristic_oracle(kind: str, elements, base) -> int:
+    """Elements (with multiplicity) at least the base product, each of
+    which still owes a digit to any extension; zero for comp."""
+    if kind == "comp":
+        return 0
+    prod = 1
+    for r in base:
+        prod *= r
+    return sum(1 for v in elements if v >= prod)
 
 
 def enumerate_bases(max_value: int, limit: int | None = None,
@@ -119,3 +147,26 @@ def brute_truth_table_sat(clauses, num_vars) -> bool:
         if ok:
             return True
     return False
+
+
+def engine_columns(s, base):
+    """Column sums and carries as the library's BaseEval fold holds them."""
+    ev = BaseEval.root(s)
+    sums, carries = [], [0]
+    for p in base:
+        child = ev.extend(p)
+        sums.append(child.prefix_digits - ev.prefix_digits)
+        carries.append(child.carry_in)
+        ev = child
+    sums.append(ev.msd_sum)
+    return sums, carries
+
+
+def emitted_columns(elements, base):
+    """Column sums and carries read off the encoder: the decomposed bus
+    lengths, and what each emitted network takes in on top of its bus."""
+    c = PbConstraint(tuple((v, i + 1) for i, v in enumerate(elements)), 1)
+    bld = CnfBuilder(len(c.terms))
+    encode_constraint(c, base, bld)
+    sums = [len(bus) for bus in decompose(c, base)]
+    return sums, [n - m for n, m in zip(bld.network_sizes, sums)]

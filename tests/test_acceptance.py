@@ -10,9 +10,7 @@ import time
 from contextlib import contextmanager
 from functools import lru_cache
 
-from optibase.cost import (CostKind, breakdown, comparator_count,
-                           cost_alpha, cost_of, num_comp, sum_carry,
-                           sum_digits)
+from optibase.cost import BaseEval, CostKind, comparator_count, cost_of
 from optibase.encoder import (CnfBuilder, PbConstraint, decompose,
                               encode_constraint, normalizer, sorting_network)
 from optibase.mixedradix import Multiset, digits_of, product
@@ -21,9 +19,11 @@ from optibase.search import (HashPriorityQueue, SearchConfig, branch_and_bound,
                              brute_force, count_bases, dfs_hp, hash_bnb,
                              initial_best)
 
-from helpers import constraint_value
+from helpers import (breakdown_oracle, constraint_value, emitted_columns,
+                     engine_columns, heuristic_oracle, partial_oracle)
 
 KINDS = (CostKind.SUM_DIGITS, CostKind.SUM_CARRY, CostKind.NUM_COMP)
+DIGITS, CARRY, COMP = KINDS
 
 
 @contextmanager
@@ -46,11 +46,11 @@ def test_01_motivating_digit_sums():
     with criterion("01 motivating example digit sums"):
         t0 = time.monotonic()
         s = Multiset.of([16, 30, 54, 60])
-        assert sum_digits(s, (10, 10)) == 25
-        assert sum_digits(s, (2, 2, 2, 2, 2)) == 13
-        assert sum_digits(s, (3, 3, 3)) == 12
-        assert sum_digits(s, (3, 5, 2, 2)) == 9
-        assert sum_digits(s, ()) == 160
+        assert cost_of(DIGITS, s, (10, 10)) == 25
+        assert cost_of(DIGITS, s, (2, 2, 2, 2, 2)) == 13
+        assert cost_of(DIGITS, s, (3, 3, 3)) == 12
+        assert cost_of(DIGITS, s, (3, 5, 2, 2)) == 9
+        assert cost_of(DIGITS, s, ()) == 160
         res = hash_bnb(s, cfg(CostKind.SUM_DIGITS, 60, True))
         assert res.best_cost == 9 and res.optimal_guaranteed
         assert time.monotonic() - t0 < 1.0
@@ -66,14 +66,16 @@ def test_02_golden_cost_table():
                            (9, 5, 13)),
         }
         for base, (sums, carries, comps, totals) in expected.items():
-            b = breakdown(s, base)
-            assert b.column_sums == sums
-            assert b.carries == carries
-            got_comps = tuple(comparator_count(b.inputs(j))
-                              for j in range(len(base) + 1))
+            got_sums, got_carries = emitted_columns(s.elements, base)
+            assert tuple(got_sums) == sums
+            assert tuple(got_carries) == carries
+            assert engine_columns(s, base) == (list(sums), list(carries))
+            got_comps = tuple(comparator_count(n + c)
+                              for n, c in zip(got_sums, got_carries))
             assert got_comps == comps
-            assert (sum_digits(s, base), sum_carry(s, base) - sum_digits(s, base),
-                    num_comp(s, base)) == totals
+            digits = cost_of(DIGITS, s, base)
+            assert (digits, cost_of(CARRY, s, base) - digits,
+                    cost_of(COMP, s, base)) == totals
 
 
 def test_03_carry_optimum_needs_non_primes():
@@ -83,7 +85,7 @@ def test_03_carry_optimum_needs_non_primes():
         allint = brute_force(s, cfg(CostKind.SUM_CARRY, 18, False, "brute"))
         primes = brute_force(s, cfg(CostKind.SUM_CARRY, 18, True, "brute"))
         assert allint.best_cost < primes.best_cost
-        assert sum_carry(s, (2, 9)) == allint.best_cost
+        assert cost_of(CARRY, s, (2, 9)) == allint.best_cost
         assert time.monotonic() - t0 < 5.0
 
 
@@ -152,7 +154,7 @@ def _equisat_sweep():
     rng = random.Random(20241)
     mismatches = []
     networks = []       # (input size, comparators emitted)
-    per_constraint = []  # (all sizes small-or-pow2, comparators, num_comp value)
+    per_constraint = []  # (all sizes small-or-pow2, comparators, comp cost)
     for _ in range(500):
         c = _random_constraint(rng)
         s = Multiset.of([coef for coef, _ in c.terms])
@@ -172,8 +174,7 @@ def _equisat_sweep():
                 networks.extend(_per_network(c, base, sizes, bld))
                 regular = all(n <= 8 or (n & (n - 1)) == 0 for n in sizes)
                 per_constraint.append(
-                    (regular, comps, num_comp(Multiset.of([cf for cf, _ in c.terms]),
-                                              base)))
+                    (regular, comps, cost_of(COMP, s, base)))
             solver = Solver(bld.clauses, bld.num_vars)
             for bits in itertools.product([False, True], repeat=len(ids)):
                 assignment = dict(zip(ids, bits))
@@ -286,17 +287,23 @@ def test_10_property_suites():
         # inputs invariance under extension
         for _ in range(1200):
             s, base, ext = _extension_pair(rng)
-            b1, b2 = breakdown(s, base), breakdown(s, ext)
+            (s1, c1), (s2, c2) = engine_columns(s, base), engine_columns(s, ext)
+            assert (s1, c1) == breakdown_oracle(s.elements, base)
+            assert (s2, c2) == breakdown_oracle(s.elements, ext)
             for j in range(len(base)):
-                assert b1.inputs(j) == b2.inputs(j)
+                assert s1[j] + c1[j] == s2[j] + c2[j]
             cases += 1
 
-        # admissibility chain for all three costs
+        # admissibility chain for all three costs, on the search's bound
         for _ in range(1500):
             s, base, ext = _extension_pair(rng)
+            ev, ev_ext = BaseEval.of(s, base), BaseEval.of(s, ext)
             for kind in KINDS:
-                assert cost_of(kind, s, ext) >= cost_alpha(kind, s, ext)
-                assert cost_alpha(kind, s, ext) >= cost_alpha(kind, s, base)
+                assert ev_ext.alpha(kind) == (
+                    partial_oracle(kind.value, s.elements, ext)
+                    + heuristic_oracle(kind.value, s.elements, ext))
+                assert cost_of(kind, s, ext) >= ev_ext.alpha(kind)
+                assert ev_ext.alpha(kind) >= ev.alpha(kind)
             cases += 1
 
         # equal products order extensions under the digit cost
@@ -308,13 +315,13 @@ def test_10_property_suites():
             if pair is None:
                 continue
             b1, b2 = pair
-            if cost_alpha(CostKind.SUM_DIGITS, s, b1) > \
-               cost_alpha(CostKind.SUM_DIGITS, s, b2):
+            if BaseEval.of(s, b1).alpha(DIGITS) > \
+               BaseEval.of(s, b2).alpha(DIGITS):
                 b1, b2 = b2, b1
             ext = tuple(rng.randint(2, 6) for _ in range(rng.randint(0, 2)))
             if product(b1 + ext) > s.max:
                 continue
-            assert sum_digits(s, b1 + ext) <= sum_digits(s, b2 + ext)
+            assert cost_of(DIGITS, s, b1 + ext) <= cost_of(DIGITS, s, b2 + ext)
             done += 1
             cases += 1
 
@@ -333,9 +340,9 @@ def test_10_property_suites():
                 seq += 1
                 if key[1] not in model or key[0] < model[key[1]][0]:
                     model[key[1]] = key
-                    assert queue.push(key, key)
+                    assert queue.push(key, key, key[1])
                 else:
-                    assert not queue.push(key, key)
+                    assert not queue.push(key, key, key[1])
             while model:
                 want = min(model.values())
                 assert queue.pop_min() == want

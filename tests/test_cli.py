@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import os
 import stat
+import subprocess
 import sys
 
 import pytest
@@ -99,6 +101,48 @@ def test_encode_statically_unsat_exit_code(capsys, tmp_path):
     code, _, _ = run(capsys, "encode", str(src), "-o", str(out_cnf))
     assert code == 10
     assert "0" in out_cnf.read_text().splitlines()[-1]
+
+
+def test_encode_refuses_coefficient_sum_past_int64(capsys, tmp_path):
+    # a coefficient sum past int64 is refused before any base is costed
+    # or any unary bus is built
+    src = tmp_path / "big.opb"
+    src.write_text(f"+{2**62} x1 +{2**62} x2 +{2**62 - 1} x3 >= 1 ;\n")
+    code, _, err = run(capsys, "encode", str(src), "-o",
+                       str(tmp_path / "big.cnf"))
+    assert code == 1 and "error:" in err
+
+
+def test_find_base_comp_refuses_sum_past_int64_bound(capsys):
+    code, _, err = run(capsys, "find-base", "--set",
+                       f"{2**61},{2**61 - 12345},{3**38}", "--cost", "comp")
+    assert code == 1 and "error:" in err
+
+
+def test_encode_rejects_radix_past_2_62(tmp_path):
+    # a radix past 2**62 is refused up front; the subprocess timeout turns
+    # a normalizer walking 2**64 remainder lines into a failure, not a hang
+    src = tmp_path / "t.opb"
+    src.write_text("+6 x1 +10 x2 >= 7 ;\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "optibase.cli", "encode", str(src),
+         "-o", str(tmp_path / "t.cnf"), "--base", str(2**64)],
+        capture_output=True, text=True, timeout=20,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+
+
+def test_encode_large_radix_counts(capsys, tmp_path):
+    src = tmp_path / "t.opb"
+    src.write_text("+6 x1 +10 x2 >= 7 ;\n")
+    out_cnf = tmp_path / "t.cnf"
+    code, _, _ = run(capsys, "encode", str(src), "-o", str(out_cnf),
+                     "--base", "2,1000003")
+    assert code == 0
+    totals = json.loads((tmp_path / "t.cnf.stats.json").read_text())["totals"]
+    assert (totals["vars"], totals["clauses"]) == (40, 115)
+    assert "p cnf 40 115" in out_cnf.read_text().splitlines()
 
 
 def test_encode_parse_error_exit_code(capsys, tmp_path):

@@ -3,13 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from optibase.cost import (BaseEval, CostKind, breakdown, comparator_count,
-                           cost_alpha, cost_of, heuristic, num_comp,
-                           partial_cost, sum_carry, sum_digits)
-from optibase.encoder import _batcher_pairs
+from optibase.cost import BaseEval, CostKind, comparator_count, cost_of
+from optibase.encoder import PbConstraint, _batcher_pairs, decompose
 from optibase.mixedradix import Multiset, product
 
-from helpers import breakdown_oracle, cost_oracle
+from helpers import (breakdown_oracle, cost_oracle, emitted_columns,
+                     engine_columns, heuristic_oracle, partial_oracle)
 
 S_FIG = Multiset.of([1, 3, 4, 8, 18, 18])
 S_INTRO = Multiset.of([16, 30, 54, 60])
@@ -17,14 +16,14 @@ S_PSI = Multiset.of([2, 2, 2, 2, 5, 18])
 
 
 def test_breakdown_golden_tables():
-    b = breakdown(S_FIG, (2, 3, 3))
-    assert b.column_sums == (2, 4, 1, 2)
-    assert b.carries == (0, 1, 1, 0)
-    b = breakdown(S_FIG, (2, 2, 2, 2))
-    assert b.column_sums == (2, 3, 1, 1, 2)
-    assert b.carries == (0, 1, 2, 1, 1)
-    b = breakdown(Multiset.of([7]), ())
-    assert b.column_sums == (7,) and b.carries == (0,)
+    for s, base, sums, carries in (
+        (S_FIG, (2, 3, 3), [2, 4, 1, 2], [0, 1, 1, 0]),
+        (S_FIG, (2, 2, 2, 2), [2, 3, 1, 1, 2], [0, 1, 2, 1, 1]),
+        (Multiset.of([7]), (), [7], [0]),
+    ):
+        assert engine_columns(s, base) == (sums, carries)
+        assert emitted_columns(s.elements, base) == (sums, carries)
+        assert breakdown_oracle(s.elements, base) == (sums, carries)
 
 
 def test_breakdown_matches_elementwise_oracle():
@@ -33,24 +32,24 @@ def test_breakdown_matches_elementwise_oracle():
         elems = [rng.randint(1, 500) for _ in range(rng.randint(1, 7))]
         base = tuple(rng.randint(2, 9) for _ in range(rng.randint(0, 5)))
         s = Multiset.of(elems)
-        b = breakdown(s, base)
         sums, carries = breakdown_oracle(s.elements, base)
-        assert list(b.column_sums) == sums
-        assert list(b.carries) == carries
+        assert engine_columns(s, base) == (sums, carries)
+        c = PbConstraint(tuple((v, i + 1) for i, v in enumerate(elems)), 1)
+        assert [len(bus) for bus in decompose(c, base)] == sums
 
 
 def test_sum_digits_examples():
-    assert sum_digits(S_INTRO, (2, 2, 2, 2, 2)) == 13
-    assert sum_digits(S_INTRO, (3, 5, 2, 2)) == 9
-    assert sum_digits(S_INTRO, ()) == 160
+    assert cost_of(CostKind.SUM_DIGITS, S_INTRO, (2, 2, 2, 2, 2)) == 13
+    assert cost_of(CostKind.SUM_DIGITS, S_INTRO, (3, 5, 2, 2)) == 9
+    assert cost_of(CostKind.SUM_DIGITS, S_INTRO, ()) == 160
 
 
 def test_sum_carry_examples():
-    assert sum_carry(S_FIG, (2, 3, 3)) == 11
-    assert sum_carry(S_FIG, (2, 2, 2, 2)) == 14
-    assert breakdown(S_PSI, (2, 9)).column_sums == (1, 6, 1)
-    assert breakdown(S_PSI, (2, 9)).carries == (0, 0, 0)
-    assert sum_carry(S_PSI, (2, 9)) == 8
+    assert cost_of(CostKind.SUM_CARRY, S_FIG, (2, 3, 3)) == 11
+    assert cost_of(CostKind.SUM_CARRY, S_FIG, (2, 2, 2, 2)) == 14
+    assert emitted_columns(S_PSI.elements, (2, 9)) == ([1, 6, 1], [0, 0, 0])
+    assert engine_columns(S_PSI, (2, 9)) == ([1, 6, 1], [0, 0, 0])
+    assert cost_of(CostKind.SUM_CARRY, S_PSI, (2, 9)) == 8
 
 
 def test_comparator_count_table_and_formula():
@@ -78,21 +77,30 @@ def test_comparator_count_monotone_and_superadditive():
 
 
 def test_num_comp_examples():
-    assert num_comp(S_FIG, (3, 2, 3)) == 10
-    assert num_comp(S_FIG, (2, 3, 3)) == 12
-    assert num_comp(S_FIG, (2, 2, 2, 2)) == 13
+    assert cost_of(CostKind.NUM_COMP, S_FIG, (3, 2, 3)) == 10
+    assert cost_of(CostKind.NUM_COMP, S_FIG, (2, 3, 3)) == 12
+    assert cost_of(CostKind.NUM_COMP, S_FIG, (2, 2, 2, 2)) == 13
 
 
 def test_partial_cost_examples():
-    assert partial_cost(CostKind.SUM_DIGITS, S_INTRO, ()) == 0
-    assert partial_cost(CostKind.SUM_CARRY, S_FIG, (2, 3, 3)) == 11 - 2
-    assert partial_cost(CostKind.NUM_COMP, S_FIG, (2, 3, 3)) == 12 - comparator_count(2)
+    for kind, s, base, want in (
+        (CostKind.SUM_DIGITS, S_INTRO, (), 0),
+        (CostKind.SUM_CARRY, S_FIG, (2, 3, 3), 11 - 2),
+        (CostKind.NUM_COMP, S_FIG, (2, 3, 3), 12 - comparator_count(2)),
+    ):
+        assert BaseEval.of(s, base).partial(kind) == want
+        assert partial_oracle(kind.value, s.elements, base) == want
 
 
 def test_heuristic_examples():
-    assert heuristic(CostKind.SUM_DIGITS, S_INTRO, (3, 5)) == 4
-    assert heuristic(CostKind.NUM_COMP, S_FIG, (2, 3)) == 0
-    assert heuristic(CostKind.SUM_CARRY, S_PSI, (2, 3, 3)) == 1
+    assert BaseEval.of(S_INTRO, (3, 5)).heuristic_count() == 4
+    assert heuristic_oracle("digits", S_INTRO.elements, (3, 5)) == 4
+    # the comparator bound carries no heuristic term
+    ev = BaseEval.of(S_FIG, (2, 3))
+    assert ev.alpha(CostKind.NUM_COMP) == ev.partial(CostKind.NUM_COMP)
+    assert heuristic_oracle("comp", S_FIG.elements, (2, 3)) == 0
+    assert BaseEval.of(S_PSI, (2, 3, 3)).heuristic_count() == 1
+    assert heuristic_oracle("carry", S_PSI.elements, (2, 3, 3)) == 1
 
 
 def test_cost_alpha_is_partial_plus_heuristic():
@@ -101,8 +109,9 @@ def test_cost_alpha_is_partial_plus_heuristic():
         (CostKind.SUM_CARRY, S_FIG, (2, 3, 3)),
         (CostKind.NUM_COMP, S_FIG, (2, 3, 3)),
     ):
-        assert cost_alpha(kind, s, base) == (
-            partial_cost(kind, s, base) + heuristic(kind, s, base))
+        assert BaseEval.of(s, base).alpha(kind) == (
+            partial_oracle(kind.value, s.elements, base)
+            + heuristic_oracle(kind.value, s.elements, base))
 
 
 def test_sum_relations():
@@ -111,12 +120,13 @@ def test_sum_relations():
         elems = [rng.randint(1, 200) for _ in range(rng.randint(1, 6))]
         base = tuple(rng.randint(2, 9) for _ in range(rng.randint(0, 4)))
         s = Multiset.of(elems)
-        b = breakdown(s, base)
-        assert sum_carry(s, base) >= sum_digits(s, base)
-        assert (sum_carry(s, base) == sum_digits(s, base)) == (
-            all(c == 0 for c in b.carries))
+        digits = cost_of(CostKind.SUM_DIGITS, s, base)
+        carry = cost_of(CostKind.SUM_CARRY, s, base)
+        _, carries = engine_columns(s, base)
+        assert carry >= digits
+        assert (carry == digits) == all(c == 0 for c in carries)
         # independent per-element summation agrees with the column view
-        assert sum_digits(s, base) == cost_oracle("digits", s.elements, base)
+        assert digits == cost_oracle("digits", s.elements, base)
 
 
 def _random_pair(rng):
@@ -141,14 +151,22 @@ def _random_pair(rng):
     return s, tuple(base), tuple(ext)
 
 
+def _alpha_oracle(kind, s, base):
+    return (partial_oracle(kind.value, s.elements, base)
+            + heuristic_oracle(kind.value, s.elements, base))
+
+
 def test_admissibility_chain():
-    # cost(B') >= partial(B') + h(B') >= partial(B) + h(B) for B' extending B
+    # cost(B') >= alpha(B') >= alpha(B) for B' extending B, with alpha the
+    # bound the search prunes with
     rng = random.Random(13)
     for _ in range(1500):
         s, base, ext = _random_pair(rng)
+        ev, ev_ext = BaseEval.of(s, base), BaseEval.of(s, ext)
         for kind in CostKind:
-            assert cost_of(kind, s, ext) >= cost_alpha(kind, s, ext)
-            assert cost_alpha(kind, s, ext) >= cost_alpha(kind, s, base)
+            assert ev_ext.alpha(kind) == _alpha_oracle(kind, s, ext)
+            assert cost_of(kind, s, ext) >= ev_ext.alpha(kind)
+            assert ev_ext.alpha(kind) >= ev.alpha(kind)
 
 
 def test_inputs_invariance():
@@ -156,9 +174,11 @@ def test_inputs_invariance():
     rng = random.Random(14)
     for _ in range(1000):
         s, base, ext = _random_pair(rng)
-        b1, b2 = breakdown(s, base), breakdown(s, ext)
+        cols1, cols2 = engine_columns(s, base), engine_columns(s, ext)
+        assert cols1 == breakdown_oracle(s.elements, base)
+        assert cols2 == breakdown_oracle(s.elements, ext)
         for j in range(len(base)):
-            assert b1.inputs(j) == b2.inputs(j)
+            assert cols1[0][j] + cols1[1][j] == cols2[0][j] + cols2[1][j]
 
 
 def test_base_eval_matches_functional_costs():
@@ -170,9 +190,11 @@ def test_base_eval_matches_functional_costs():
         base = ()
         while True:
             for kind in CostKind:
-                assert ev.cost(kind) == cost_of(kind, s, base)
-                assert ev.partial(kind) == partial_cost(kind, s, base)
-                assert ev.alpha(kind) == cost_alpha(kind, s, base)
+                want = cost_oracle(kind.value, s.elements, base)
+                assert ev.cost(kind) == cost_of(kind, s, base) == want
+                assert ev.partial(kind) == partial_oracle(kind.value,
+                                                          s.elements, base)
+                assert ev.alpha(kind) == _alpha_oracle(kind, s, base)
             p = rng.randint(2, 9)
             if product(base) * p > s.max:
                 break

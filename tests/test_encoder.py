@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from optibase.cost import CostKind, comparator_count, num_comp
+from optibase.cost import CostKind, comparator_count, cost_of
 from optibase.encoder import (FALSE, TRUE, CnfBuilder, PbConstraint, Cnf,
                               _batcher_pairs, comparator, decompose,
                               encode_constraint, encode_geq, encode_instance,
@@ -107,17 +107,23 @@ def test_normalizer_shapes():
     rem, carries = normalizer(bus, 3, bld)
     assert carries == (3, 6)
     assert len(rem) == 2
-    # shorter than the radix: identity plus FALSE padding, no clauses
+    # shorter than the radix: the identity, no clauses
     bld = CnfBuilder(2)
     rem, carries = normalizer((1, 2), 5, bld)
     assert carries == ()
-    assert rem == (1, 2, FALSE, FALSE)
+    assert rem == (1, 2)
     assert not bld.clauses
     # exactly the radix: one carry, remainder gated by its negation
     bld = CnfBuilder(3)
     rem, carries = normalizer((1, 2, 3), 3, bld)
     assert carries == (3,)
     assert len(rem) == 2 and len(bld.clauses) == 6
+    # a radix far past the bus: remainder lines beyond the bus would be
+    # constant FALSE, so the work is bounded by the bus, not the radix
+    bld = CnfBuilder(3)
+    rem, carries = normalizer((1, 2, 3), 10**6, bld)
+    assert rem == (1, 2, 3) and carries == ()
+    assert not bld.clauses and bld.num_vars == 3
 
 
 @pytest.mark.parametrize("r", [2, 3, 5])
@@ -127,7 +133,7 @@ def test_normalizer_semantics_exhaustive(m, r):
     bld = CnfBuilder(m)
     sorted_bus = sorting_network(tuple(range(1, m + 1)), bld)
     rem, carries = normalizer(sorted_bus, r, bld)
-    assert len(rem) == r - 1
+    assert len(rem) == min(r - 1, m)
     assert len(carries) == m // r
     solver = Solver(bld.clauses, bld.num_vars)
     for true_count in range(m + 1):
@@ -321,7 +327,8 @@ def test_encode_instance_forced_base_stats():
     assert st.base == (2, 3, 3)
     assert st.network_sizes == (1, 6, 2, 1)
     assert st.cost_value == 10
-    assert st.comparators == num_comp(Multiset.of([2, 2, 2, 2, 5, 18]), (2, 3, 3))
+    assert st.comparators == cost_of(CostKind.NUM_COMP,
+                                     Multiset.of([2, 2, 2, 2, 5, 18]), (2, 3, 3))
 
 
 def test_dimacs_format_and_determinism():

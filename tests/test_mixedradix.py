@@ -168,9 +168,18 @@ def test_multiset_validation_and_views():
         Multiset.of([0, 3])
     with pytest.raises(ValueError):
         Multiset.of([1 << 63])
+    # each element is within 2**62, but the sum does not fit in int64
+    with pytest.raises(ValueError, match="sum"):
+        Multiset.of([2**62, 2**62, 2**62 - 1])
+    assert Multiset.of([2**62, 2**62 - 1]).max == 2**62  # sum 2**63 - 1
 
 
 def test_validate_base():
     assert validate_base([2, 3]) == (2, 3)
     with pytest.raises(ValueError):
         validate_base([2, 1])
+    assert validate_base([2, 2**62]) == (2, 2**62)
+    with pytest.raises(ValueError):
+        validate_base([2, 2**62 + 1])
+    with pytest.raises(ValueError):
+        validate_base([2**64])

@@ -176,4 +176,4 @@ def test_ids_dense_in_first_appearance_order():
     inst = load_instance("+1 x7 +1 x3 >= 1 ;\n+1 x3 +1 x9 >= 1 ;\n")
     assert inst.names == ["x7", "x3", "x9"]
     assert inst.ids == {"x7": 1, "x3": 2, "x9": 3}
-    assert inst.sources == [1, 2]
+    assert [rc.line for rc in inst.raws] == [1, 2]

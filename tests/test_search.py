@@ -243,9 +243,9 @@ def test_queue_discipline():
             seq += 1
             if prod not in model or alpha < model[prod][0]:
                 model[prod] = key
-                assert queue.push(key, key) is True
+                assert queue.push(key, key, prod) is True
             else:
-                assert queue.push(key, key) is False
+                assert queue.push(key, key, prod) is False
             assert len(queue) == len(model)
         while model:
             want = min(model.values())
@@ -285,3 +285,29 @@ def test_pruned_plus_expanded_accounts_for_brute_tree():
         cfg = cfg_for("digits", max_elem=s.max + 1, primes=False, algo="brute")
         total = brute_force(s, cfg).nodes_expanded
         assert total == count_bases(s)
+
+
+def test_find_base_refuses_sums_past_int64():
+    # sum(S) is the cost of the empty base and must fit in int64; exactly
+    # at the bound every cost is still exact
+    with pytest.raises(ValueError, match="sum"):
+        find_base(Multiset.of([2**62, 2**62, 2**62 - 1]), cfg_for())
+    s = Multiset.of([2**62, 2**62 - 1])
+    for kind in ("digits", "carry", "comp"):
+        assert cost_of(KINDS[kind], s, ()) == cost_oracle(kind, s.elements, ())
+        assert cost_of(KINDS[kind], s, (2, 3)) == \
+            cost_oracle(kind, s.elements, (2, 3))
+
+
+def test_comp_search_refuses_sums_past_its_int64_bound():
+    # the sum fits in int64, but comparator counts over it would not
+    s = Multiset.of([2**61, 2**61 - 12345, 3**38])
+    for algo in ("hashbnb", "bnb", "dfs"):
+        with pytest.raises(ValueError, match="comp"):
+            find_base(s, cfg_for("comp", primes=False, algo=algo))
+    assert cost_of(CostKind.NUM_COMP, s, (5,)) == 1092336913253587352582
+    # just below the bound the search's costs are still exact
+    s = Multiset.of([2**50, 2**49 + 12345, 3**30])
+    for algo in ("hashbnb", "bnb", "dfs"):
+        r = find_base(s, cfg_for("comp", max_elem=16, algo=algo))
+        assert r.best_cost == cost_oracle("comp", s.elements, r.best_base)
