@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -206,10 +207,13 @@ def cmd_encode(args) -> int:
 
 
 def _run_external_solver(path: str, cnf: Cnf) -> tuple[bool, dict[int, bool]]:
-    with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as f:
-        f.write(to_dimacs(cnf))
-        tmp = f.name
-    proc = subprocess.run([path, tmp], capture_output=True, text=True)
+    f = tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False)
+    try:
+        with f:
+            f.write(to_dimacs(cnf))
+        proc = subprocess.run([path, f.name], capture_output=True, text=True)
+    finally:
+        os.unlink(f.name)
     # competition convention: exit 10 means SAT, 20 means UNSAT
     if proc.returncode not in (0, 10, 20):
         raise ToolError(f"solver exited with status {proc.returncode}: "

@@ -14,8 +14,8 @@ re-costs an extension from its parent's state.  ``cost_of`` folds
 ``BaseEval.extend`` from the root over a whole base.  Each state also
 gives a partial cost (the part every extension of the base must pay) and
 an admissible bound ``alpha`` (partial cost plus a heuristic) that never
-overestimates the cost of any extension.  All values are integers; no
-floating point is used anywhere.
+overestimates the cost of any extension.  All values are integers; the
+only float is the bit length of a comp network size, which is exact.
 """
 
 from __future__ import annotations
@@ -53,15 +53,10 @@ def comparator_count(n: int) -> int:
 
 
 def _bit_length(a: np.ndarray) -> np.ndarray:
-    """Vectorized int bit length, integer arithmetic only."""
-    a = a.copy()
-    out = np.zeros_like(a)
-    for shift in (32, 16, 8, 4, 2, 1):
-        big = a >= (1 << shift)
-        out[big] += shift
-        a[big] >>= shift
-    out[a > 0] += 1
-    return out
+    """Vectorized int bit length: the binary exponent of each value as a
+    float64, exact below 2**53.  Its one caller, the comp cost, only sees
+    network sizes below sum(S) < 2**51 (``search.COMP_SUM_LIMIT``)."""
+    return np.frexp(a.astype(np.float64))[1]
 
 
 _SMALL_SIZES_ARR = np.array(_SMALL_NETWORK_SIZES, dtype=np.int64)
@@ -173,9 +168,10 @@ class BaseEval:
         Candidates must already satisfy prod * p <= max(S) so that all
         intermediate products stay within 64 bits.
         """
-        rem = self.cur[None, :] % ps[:, None]
-        cols = rem @ self.mults
         msd = (self.cur[None, :] // ps[:, None]) @ self.mults
+        # sum m*(c mod p) = sum m*c - p * sum m*floor(c/p), where sum m*c
+        # is msd_sum; p*msd <= msd_sum < 2**63, so nothing overflows
+        cols = self.msd_sum - ps * msd
         net_in = cols + self.carry_in
         carry_out = net_in // ps
         if kind is CostKind.NUM_COMP:

@@ -393,8 +393,7 @@ class Cnf:
 def to_dimacs(cnf: Cnf) -> str:
     lines = [f"c {c}" if c else "c" for c in cnf.comments]
     lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
-    for cl in cnf.clauses:
-        lines.append(" ".join(str(lit) for lit in cl + [0]))
+    lines += [" ".join(map(str, [*cl, 0])) for cl in cnf.clauses]
     return "\n".join(lines) + "\n"
 
 
@@ -411,12 +410,15 @@ def encode_instance(
 
     The base is found per constraint's coefficient multiset by default;
     ``forced_base`` pins one base for everything, ``shared_base`` searches
-    once over the union of all coefficients.  A search that times out
-    falls back to the binary base (flagged in the stats) when
-    ``fallback_binary`` is set, and otherwise keeps the best base found.
+    once over the union of all coefficients.  Each distinct multiset is
+    searched once: the halves of an ``=`` constraint and repeated
+    constraints share the result.  A search that times out falls back to
+    the binary base (flagged in the stats) when ``fallback_binary`` is
+    set, and otherwise keeps the best base found.
     """
     bld = CnfBuilder(num_input_vars, polarity=polarity)
     stats: list[ConstraintStats] = []
+    searched: dict[Multiset, tuple[tuple[int, ...], bool]] = {}
 
     shared: tuple[int, ...] | None = tuple(forced_base) if forced_base is not None else None
     if shared is None and shared_base and constraints:
@@ -432,13 +434,15 @@ def encode_instance(
             stats.append(ConstraintStats(
                 idx, (), cfg.kind.value, None, 1, 0, 0, (), True, False))
             continue
+        s = Multiset.of(c for c, _ in pc.terms)
         if shared is not None:
             base, fellback = shared, False
         else:
-            base, fellback = _search_base(
-                Multiset.of(c for c, _ in pc.terms), cfg, fallback_binary)
+            if s not in searched:
+                searched[s] = _search_base(s, cfg, fallback_binary)
+            base, fellback = searched[s]
         encode_constraint(pc, base, bld)
-        cost_value = cost_of(cfg.kind, Multiset.of(c for c, _ in pc.terms), base)
+        cost_value = cost_of(cfg.kind, s, base)
         stats.append(ConstraintStats(
             idx, base, cfg.kind.value, cost_value,
             len(bld.clauses) - c0, bld.num_vars - v0, bld.comparators - n0,

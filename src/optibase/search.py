@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import isqrt
-from operator import attrgetter
 
 import numpy as np
 
@@ -152,15 +151,17 @@ def dfs_hp(s: Multiset, cfg: SearchConfig) -> SearchResult:
         # children over the entry bound stay over any tightened bound
         candidates = np.flatnonzero(alphas <= best_cost)
         pruned += len(ps) - len(candidates)
-        for i in candidates:
+        for p, alpha, cost in zip(ps[candidates].tolist(),
+                                  alphas[candidates].tolist(),
+                                  costs[candidates].tolist()):
             if timed_out:
                 return
-            if alphas[i] > best_cost:
+            if alpha > best_cost:
                 pruned += 1
                 continue
-            child = state.extend(int(ps[i]))
-            if costs[i] < best_cost:
-                best_base, best_cost = child.base, int(costs[i])
+            child = state.extend(p)
+            if cost < best_cost:
+                best_base, best_cost = child.base, cost
             visit(child)
 
     visit(root)
@@ -215,18 +216,18 @@ class HashPriorityQueue:
         return entry[1]
 
 
-def _key(state: BaseEval, alpha: int):
-    return (alpha, state.prod, len(state.base), state.base)
-
-
 def _queue_search(s: Multiset, cfg: SearchConfig, hashed: bool) -> SearchResult:
+    """Best-first search whose queue holds children unbuilt: an entry's
+    state is (parent, p), and ``parent.extend(p)`` runs only on pop, so
+    children that are dropped, tombstoned or left behind by the bound are
+    never built.  The key (alpha, product, length, base) orders the queue
+    and breaks every tie."""
     kind = cfg.kind
     timer = _Timer(cfg.timeout)
     root = BaseEval.root(s)
     best_base, best_cost = _initial_candidates(root, kind)
-    slot_of = attrgetter("prod" if hashed else "base")
     queue = HashPriorityQueue()
-    queue.push(_key(root, root.alpha(kind)), root, slot_of(root))
+    queue.push((root.alpha(kind), 1, 0, ()), (root, None), 1 if hashed else ())
     expanded = 0
     pruned = 0
     timed_out = False
@@ -235,7 +236,8 @@ def _queue_search(s: Multiset, cfg: SearchConfig, hashed: bool) -> SearchResult:
         if timer.expired():
             timed_out = True
             break
-        state = queue.pop_min()
+        parent, p = queue.pop_min()
+        state = parent if p is None else parent.extend(p)
         expanded += 1
         ps = _extender_array(state.prod, s, cfg)
         if len(ps) == 0:
@@ -243,16 +245,21 @@ def _queue_search(s: Multiset, cfg: SearchConfig, hashed: bool) -> SearchResult:
         costs, alphas = state.child_metrics(ps, kind)
         candidates = np.flatnonzero(alphas <= best_cost)
         pruned += len(ps) - len(candidates)
-        for i in candidates:
-            if alphas[i] > best_cost:
+        base, prod, length = state.base, state.prod, len(state.base) + 1
+        for p, alpha, cost in zip(ps[candidates].tolist(),
+                                  alphas[candidates].tolist(),
+                                  costs[candidates].tolist()):
+            if alpha > best_cost:
                 pruned += 1
                 continue
-            child = state.extend(int(ps[i]))
-            key = _key(child, int(alphas[i]))
-            if not queue.push(key, child, slot_of(child)):
+            child_base = base + (p,)
+            child_prod = prod * p
+            key = (alpha, child_prod, length, child_base)
+            slot = child_prod if hashed else child_base
+            if not queue.push(key, (state, p), slot):
                 pruned += 1
-            if costs[i] < best_cost:
-                best_base, best_cost = child.base, int(costs[i])
+            if cost < best_cost:
+                best_base, best_cost = child_base, cost
 
     guaranteed = not timed_out and (not hashed or kind is CostKind.SUM_DIGITS)
     return SearchResult(best_base, best_cost, expanded, pruned,

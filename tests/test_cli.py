@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -239,6 +240,33 @@ def test_solve_external_solver_garbage_output(capsys, tmp_path):
     code, _, err = run(capsys, "solve", str(src), "--solver", str(script),
                        "--base", "2,3,3")
     assert code == 1 and "error" in err
+
+
+def _script(tmp_path, name, body):
+    script = tmp_path / name
+    script.write_text(f"#!{sys.executable}\n{body}")
+    script.chmod(script.stat().st_mode | stat.S_IEXEC)
+    return str(script)
+
+
+def test_solve_external_solver_leaves_no_temp_file(capsys, tmp_path,
+                                                   stub_solver, monkeypatch):
+    tmp_dir = tmp_path / "tmp"
+    tmp_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_dir))
+    src = tmp_path / "psi.opb"
+    src.write_text(PSI_OPB)
+    solvers = [
+        (stub_solver, 0),
+        (_script(tmp_path, "garbage", "print('whatever')\n"), 1),
+        (_script(tmp_path, "crash", "import sys\nsys.exit(3)\n"), 1),
+        (str(tmp_path / "missing-solver"), 1),
+    ]
+    for solver, want in solvers:
+        code, _, _ = run(capsys, "solve", str(src), "--solver", solver,
+                         "--base", "2,3,3")
+        assert code == want, solver
+        assert list(tmp_dir.iterdir()) == [], solver
 
 
 def test_cluster_key():

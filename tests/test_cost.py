@@ -3,9 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from optibase.cost import BaseEval, CostKind, comparator_count, cost_of
+from optibase.cost import (BaseEval, CostKind, _bit_length, comparator_count,
+                           cost_of)
 from optibase.encoder import PbConstraint, _batcher_pairs, decompose
 from optibase.mixedradix import Multiset, product
+from optibase.search import COMP_SUM_LIMIT
 
 from helpers import (breakdown_oracle, cost_oracle, emitted_columns,
                      engine_columns, heuristic_oracle, partial_oracle)
@@ -224,3 +226,74 @@ def test_child_metrics_match_scalar_extend():
                 child = ev.extend(int(ps[idx]))
                 assert int(costs[idx]) == child.cost(kind)
                 assert int(alphas[idx]) == child.alpha(kind)
+
+
+def _random_state(rng, s):
+    """The state of a random non-redundant base for s, up to three long."""
+    ev = BaseEval.root(s)
+    for _ in range(rng.randint(0, 3)):
+        cap = s.max // ev.prod
+        if cap < 2:
+            break
+        ev = ev.extend(rng.choice((2, 3, rng.randint(2, cap))))
+    return ev
+
+
+def _edge_extenders(rng, ev):
+    """Valid extenders of ev: a dense run from 2, the largest two, each
+    value's quotient by the product (where the heuristic count steps) and
+    its neighbours, and a random sample."""
+    cap = ev.multiset.max // ev.prod
+    ps = set(range(2, min(cap, 40) + 1)) | {cap - 1, cap}
+    for v in ev.multiset.elements:
+        q = v // ev.prod
+        ps |= {q - 1, q, q + 1}
+    ps |= {rng.randint(2, cap) for _ in range(40)}
+    return np.array(sorted(p for p in ps if 2 <= p <= cap), dtype=np.int64)
+
+
+def _near_sum_bound(rng, bound, n):
+    """n >= 3 positive values, none above 2**62, whose sum is within 1001
+    of bound and below it."""
+    vals = [rng.randint(bound // n - bound // (4 * n), bound // n - 1)
+            for _ in range(n - 1)]
+    vals.append(bound - 1 - sum(vals) - rng.randint(0, 1000))
+    return vals
+
+
+def test_child_metrics_every_candidate_at_int64_edges():
+    # every index of ps, not a sample: small multisets, elements near 2**62
+    # with sums near 2**63 (digits, carry), sums just below the comp limit
+    rng = random.Random(17)
+    small = [[rng.randint(1, 10**4) for _ in range(rng.randint(1, 8))]
+             for _ in range(60)]
+    top = [[(1 << 62), (1 << 62) - 1], [(1 << 62) - 3, (1 << 62) - 5, 7],
+           [1 << 61] * 3 + [(1 << 61) - 1], [(1 << 58) - 1] * 15 + [1 << 62]]
+    top += [_near_sum_bound(rng, 1 << 63, rng.randint(3, 4)) for _ in range(12)]
+    comp = [[1 << 50, (1 << 50) - 1], [1 << 49] * 3 + [(1 << 49) - 1]]
+    comp += [_near_sum_bound(rng, COMP_SUM_LIMIT, rng.randint(3, 5))
+             for _ in range(12)]
+    digits_carry = [CostKind.SUM_DIGITS, CostKind.SUM_CARRY]
+    for group, kinds in ((small, list(CostKind)), (top, digits_carry),
+                         (comp, list(CostKind))):
+        for elems in group:
+            s = Multiset.of(elems)
+            assert s.max <= 1 << 62 and sum(elems) < 1 << 63
+            for _ in range(3):
+                ev = _random_state(rng, s)
+                if s.max // ev.prod < 2:
+                    continue
+                ps = _edge_extenders(rng, ev)
+                children = [ev.extend(p) for p in ps.tolist()]
+                for kind in kinds:
+                    costs, alphas = ev.child_metrics(ps, kind)
+                    assert costs.tolist() == [c.cost(kind) for c in children]
+                    assert alphas.tolist() == [c.alpha(kind) for c in children]
+
+
+def test_bit_length_matches_int_bit_length():
+    values = [0]
+    for k in range(52):
+        values += [(1 << k) - 1, 1 << k, (1 << k) + 1]
+    got = _bit_length(np.array(values, dtype=np.int64))
+    assert got.tolist() == [v.bit_length() for v in values]

@@ -1,16 +1,19 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from optibase import encoder
 from optibase.cost import CostKind, comparator_count, cost_of
 from optibase.encoder import (FALSE, TRUE, CnfBuilder, PbConstraint, Cnf,
                               _batcher_pairs, comparator, decompose,
                               encode_constraint, encode_geq, encode_instance,
                               neg, normalizer, sorting_network, to_dimacs)
 from optibase.mixedradix import Multiset
+from optibase.opb import load_instance
 from optibase.satcheck import Solver
-from optibase.search import SearchConfig
+from optibase.search import SearchConfig, find_base
 
 from helpers import constraint_value
 
@@ -348,6 +351,71 @@ def test_dimacs_format_and_determinism():
 def test_dimacs_empty_clause_line():
     cnf = Cnf(1, [[1], []])
     assert to_dimacs(cnf).splitlines() == ["p cnf 1 2", "1 0", "0"]
+    assert to_dimacs(Cnf(0, [[]], ["x"])) == "c x\np cnf 0 1\n0\n"
+
+
+def test_dimacs_clause_lines_are_literals_then_zero():
+    rng = random.Random(41)
+    clauses = [[rng.choice([-1, 1]) * rng.randint(1, 2**31 - 1)
+                for _ in range(rng.randint(0, 6))] for _ in range(300)]
+    lines = to_dimacs(Cnf(2**31 - 1, clauses)).split("\n")
+    assert lines[0] == f"p cnf {2**31 - 1} 300" and lines[-1] == ""
+    assert lines[1:-1] == [" ".join(str(lit) for lit in cl + [0])
+                           for cl in clauses]
+
+
+# an = constraint (two halves over one multiset) and two constraints
+# over another: four constraints, two distinct coefficient multisets
+MEMO_OPB = """+3 x1 +5 x2 +7 x3 +11 x4 +13 x5 +17 x6 +19 x7 = 30 ;
++12 x1 +20 x2 +30 x3 >= 31 ;
++20 x4 +30 x5 +12 x6 >= 25 ;
+"""
+
+
+class _Unshared(Multiset):
+    """A multiset equal only to itself: no two constraints share a search."""
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
+def _encode_counting(monkeypatch, cfg, shared_search=True):
+    inst = load_instance(MEMO_OPB)
+    calls = []
+
+    def counting_find_base(s, cfg):
+        calls.append(s.elements)
+        return find_base(s, cfg)
+
+    with monkeypatch.context() as m:
+        m.setattr(encoder, "find_base", counting_find_base)
+        if not shared_search:
+            m.setattr(encoder, "Multiset", SimpleNamespace(
+                of=lambda values: _Unshared(Multiset.of(values).elements)))
+        cnf, stats = encode_instance(inst.constraints, len(inst.names), cfg)
+    return inst, to_dimacs(cnf), [st.as_dict() for st in stats], calls
+
+
+def test_encode_instance_searches_each_multiset_once(monkeypatch):
+    cfg = SearchConfig(kind=CostKind.SUM_CARRY, max_elem=50, primes_only=False)
+    inst, dimacs, stats, calls = _encode_counting(monkeypatch, cfg)
+    multisets = [tuple(sorted(c for c, _ in pc.terms))
+                 for pc in inst.constraints]
+    assert len(multisets) == 4 and len(set(multisets)) == 2
+    assert sorted(calls) == sorted(set(multisets))
+    _, dimacs_unshared, stats_unshared, calls_unshared = _encode_counting(
+        monkeypatch, cfg, shared_search=False)
+    assert calls_unshared == multisets
+    assert stats == stats_unshared
+    assert dimacs == dimacs_unshared
+
+
+def test_encode_instance_equality_halves_share_the_fallback(monkeypatch):
+    cfg = SearchConfig(kind=CostKind.SUM_CARRY, max_elem=50,
+                       primes_only=False, timeout=1e-9)
+    _, _, stats, calls = _encode_counting(monkeypatch, cfg)
+    assert len(calls) == 2
+    assert stats[0]["fallback_binary"] == stats[1]["fallback_binary"]
+    assert stats[0]["base"] == stats[1]["base"]
 
 
 def test_fresh_variable_budget_guard():
