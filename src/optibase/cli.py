@@ -65,14 +65,16 @@ def _search_options(p: argparse.ArgumentParser) -> None:
                    help="base-search timeout in seconds (default 600)")
 
 
+def _primes_only(cost: str, chosen: bool | None) -> bool:
+    """Primes-only search unless chosen otherwise: on for digits, off for
+    carry and comp."""
+    return cost == "digits" if chosen is None else chosen
+
+
 def _search_config(args) -> SearchConfig:
-    kind = _COSTS[args.cost]
-    primes = args.primes_only
-    if primes is None:
-        primes = kind is CostKind.SUM_DIGITS
-    return SearchConfig(kind=kind, max_elem=args.max_elem,
-                        primes_only=primes, algorithm=args.algo,
-                        timeout=args.timeout)
+    return SearchConfig(kind=_COSTS[args.cost], max_elem=args.max_elem,
+                        primes_only=_primes_only(args.cost, args.primes_only),
+                        algorithm=args.algo, timeout=args.timeout)
 
 
 def _parse_multiset(text: str) -> Multiset:
@@ -146,8 +148,6 @@ def _encode_options(p: argparse.ArgumentParser) -> None:
     _search_options(p)
     p.add_argument("--base", default=None,
                    help="force this base for every constraint, e.g. '2,3,3'")
-    p.add_argument("--shared-base", action="store_true",
-                   help="search one base over the union of all coefficients")
     p.add_argument("--fallback-binary", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="fall back to the binary base when a base search "
@@ -164,8 +164,8 @@ def _encode(args, text: str):
     forced = _parse_base(args.base) if args.base is not None else None
     cnf, stats = encode_instance(
         inst.constraints, len(inst.names), cfg,
-        forced_base=forced, shared_base=args.shared_base,
-        fallback_binary=args.fallback_binary, polarity=args.polarity)
+        forced_base=forced, fallback_binary=args.fallback_binary,
+        polarity=args.polarity)
     comments = [f"optibase encode cost={args.cost} algo={args.algo}"]
     for i, name in enumerate(inst.names, start=1):
         comments.append(f"var {i} = {name}")
@@ -173,7 +173,7 @@ def _encode(args, text: str):
         comments.append(
             f"constraint {st.index}: base={_fmt_base(st.base)} "
             f"cost={st.cost_kind}:{st.cost_value} clauses={st.clauses} "
-            f"vars={st.fresh_vars} comparators={st.comparators} "
+            f"vars={st.vars} comparators={st.comparators} "
             f"networks={','.join(map(str, st.network_sizes))}")
     comments.append(
         f"totals: constraints={len(stats)} vars={cnf.num_vars} "
@@ -184,6 +184,7 @@ def _encode(args, text: str):
 
 def cmd_encode(args) -> int:
     inst, cnf, stats = _encode(args, Path(args.input).read_text())
+    unsat = cnf.has_empty_clause
     Path(args.output).write_text(to_dimacs(cnf))
     stats_path = args.stats or args.output + ".stats.json"
     payload = {
@@ -193,17 +194,14 @@ def cmd_encode(args) -> int:
             "vars": cnf.num_vars,
             "clauses": len(cnf.clauses),
             "comparators": sum(st.comparators for st in stats),
-            "statically_unsat": (any(st.statically_unsat for st in stats)
-                                 or cnf.has_empty_clause),
+            "statically_unsat": unsat,
         },
     }
     Path(stats_path).write_text(json.dumps(payload, indent=2) + "\n")
     if inst.skipped_objective:
         print("warning: objective line ignored (decision-only encoding)",
               file=sys.stderr)
-    if any(st.statically_unsat for st in stats) or cnf.has_empty_clause:
-        return EXIT_STATIC_UNSAT
-    return EXIT_OK
+    return EXIT_STATIC_UNSAT if unsat else EXIT_OK
 
 
 def _run_external_solver(path: str, cnf: Cnf) -> tuple[bool, dict[int, bool]]:
@@ -234,8 +232,8 @@ def _run_external_solver(path: str, cnf: Cnf) -> tuple[bool, dict[int, bool]]:
 
 
 def cmd_solve(args) -> int:
-    inst, cnf, stats = _encode(args, Path(args.input).read_text())
-    if any(st.statically_unsat for st in stats) or cnf.has_empty_clause:
+    inst, cnf, _ = _encode(args, Path(args.input).read_text())
+    if cnf.has_empty_clause:
         print("UNSAT")
         return EXIT_OK
     if args.solver:
@@ -298,8 +296,7 @@ def _amplified_instances(paths, emit_dir: str | None):
             name = f"{Path(path).stem}.31pow{i}"
             if emit_dir:
                 Path(emit_dir).mkdir(parents=True, exist_ok=True)
-                ids = {n: k for k, n in enumerate(names, start=1)}
-                text = instance_to_opb(PbInstance(names, ids, scaled, []))
+                text = instance_to_opb(PbInstance(names, scaled, []))
                 (Path(emit_dir) / f"{name}.opb").write_text(text)
             for ci, pc in enumerate(scaled):
                 elems = _bench_multiset(pc)
@@ -371,10 +368,8 @@ def cmd_bench(args) -> int:
     for algo in args.algos.split(","):
         for cost in args.costs.split(","):
             for max_elem in (int(t) for t in args.max_elems.split(",")):
-                if args.primes == "auto":
-                    primes = cost == "digits"
-                else:
-                    primes = args.primes == "on"
+                primes = _primes_only(cost, None if args.primes == "auto"
+                                      else args.primes == "on")
                 configs.append((algo, cost, max_elem, primes))
 
     tasks = [(name, elems) + cfg + (args.timeout,)

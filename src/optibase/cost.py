@@ -21,7 +21,6 @@ only float is the bit length of a comp network size, which is exact.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from typing import Sequence
 
 import numpy as np
@@ -123,9 +122,10 @@ class BaseEval:
         return ev
 
     def extend(self, p: int) -> "BaseEval":
-        rem = self.cur % p
         newcur = self.cur // p
-        col = int(rem @ self.mults)
+        msd_sum = int(newcur @ self.mults)
+        # the column sum by the identity child_metrics uses
+        col = self.msd_sum - p * msd_sum
         carry_out = (col + self.carry_in) // p
         return BaseEval(
             self.multiset, self.values, self.mults, self.suffix_counts,
@@ -133,14 +133,16 @@ class BaseEval:
             self.prefix_digits + col,
             self.prefix_carries + self.carry_in,
             self.prefix_comp + comparator_count(col + self.carry_in),
-            int(newcur @ self.mults),
+            msd_sum,
             carry_out,
         )
 
     def heuristic_count(self) -> int:
         """Elements (with multiplicity) at least the base product."""
-        idx = bisect_left(self.multiset.elements, self.prod)
-        return len(self.multiset.elements) - idx
+        # a redundant base's product can pass 2**63; any product past
+        # max(S) counts the same as max(S) + 1, which fits in int64
+        prod = min(self.prod, self.multiset.max + 1)
+        return int(self.suffix_counts[np.searchsorted(self.values, prod)])
 
     def cost(self, kind: CostKind) -> int:
         if kind is CostKind.SUM_DIGITS:

@@ -14,7 +14,7 @@ fold away structurally and never reach an emitted clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
@@ -96,7 +96,6 @@ class CnfBuilder:
         self.comparators = 0
         self.network_sizes: list[int] = []
         self.polarity = polarity
-        self._empty_clauses = 0
 
     def fresh(self) -> int:
         if self.num_vars >= MAX_VARIABLES:
@@ -105,21 +104,9 @@ class CnfBuilder:
         return self.num_vars
 
     def add_clause(self, lits: Iterable[Lit]) -> None:
-        out: list[int] = []
-        seen: set[int] = set()
-        for lit in lits:
-            if lit is TRUE:
-                return
-            if lit is FALSE:
-                continue
-            if -lit in seen:
-                return
-            if lit not in seen:
-                seen.add(lit)
-                out.append(lit)
-        if not out:
-            self._empty_clauses += 1
-        self.clauses.append(out)
+        out = _disjuncts(lits)
+        if out is not None:
+            self.clauses.append(out)
 
     def assert_true(self, lit: Lit) -> None:
         if lit is TRUE:
@@ -128,7 +115,25 @@ class CnfBuilder:
 
     @property
     def has_empty_clause(self) -> bool:
-        return self._empty_clauses > 0
+        return any(not cl for cl in self.clauses)
+
+
+def _disjuncts(lits: Iterable[Lit]) -> list[int] | None:
+    """The literals of a disjunction with FALSE and repeats dropped, or None
+    when it is true: it holds TRUE or a complementary pair."""
+    out: list[int] = []
+    seen: set[int] = set()
+    for lit in lits:
+        if lit is TRUE:
+            return None
+        if lit is FALSE:
+            continue
+        if -lit in seen:
+            return None
+        if lit not in seen:
+            seen.add(lit)
+            out.append(lit)
+    return out
 
 
 def comparator(a: Lit, b: Lit, bld: CnfBuilder) -> tuple[Lit, Lit]:
@@ -178,18 +183,9 @@ def _and2(a: Lit, b: Lit, bld: CnfBuilder) -> Lit:
 
 def _or_many(lits: Sequence[Lit], bld: CnfBuilder) -> Lit:
     """Fresh literal equivalent to the disjunction, folding as above."""
-    kept: list[int] = []
-    seen: set[int] = set()
-    for lit in lits:
-        if lit is TRUE:
-            return TRUE
-        if lit is FALSE:
-            continue
-        if -lit in seen:
-            return TRUE
-        if lit not in seen:
-            seen.add(lit)
-            kept.append(lit)
+    kept = _disjuncts(lits)
+    if kept is None:
+        return TRUE
     if not kept:
         return FALSE
     if len(kept) == 1:
@@ -358,25 +354,14 @@ class ConstraintStats:
     cost_kind: str
     cost_value: int | None
     clauses: int
-    fresh_vars: int
+    vars: int  # fresh variables
     comparators: int
     network_sizes: tuple[int, ...]
     statically_unsat: bool
     fallback_binary: bool
 
     def as_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "base": list(self.base),
-            "cost_kind": self.cost_kind,
-            "cost_value": self.cost_value,
-            "clauses": self.clauses,
-            "vars": self.fresh_vars,
-            "comparators": self.comparators,
-            "network_sizes": list(self.network_sizes),
-            "statically_unsat": self.statically_unsat,
-            "fallback_binary": self.fallback_binary,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -402,15 +387,13 @@ def encode_instance(
     num_input_vars: int,
     cfg: SearchConfig,
     forced_base: Sequence[int] | None = None,
-    shared_base: bool = False,
     fallback_binary: bool = True,
     polarity: str = "full",
 ) -> tuple[Cnf, list[ConstraintStats]]:
     """Encode a conjunction of constraints into one variable space.
 
-    The base is found per constraint's coefficient multiset by default;
-    ``forced_base`` pins one base for everything, ``shared_base`` searches
-    once over the union of all coefficients.  Each distinct multiset is
+    The base is found per constraint's coefficient multiset unless
+    ``forced_base`` pins one base for everything.  Each distinct multiset is
     searched once: the halves of an ``=`` constraint and repeated
     constraints share the result.  A search that times out falls back to
     the binary base (flagged in the stats) when ``fallback_binary`` is
@@ -420,12 +403,7 @@ def encode_instance(
     stats: list[ConstraintStats] = []
     searched: dict[Multiset, tuple[tuple[int, ...], bool]] = {}
 
-    shared: tuple[int, ...] | None = tuple(forced_base) if forced_base is not None else None
-    if shared is None and shared_base and constraints:
-        coefs = [c for pc in constraints for c, _ in pc.terms]
-        if coefs:
-            shared = _search_base(Multiset.of(coefs), cfg, fallback_binary)[0]
-
+    forced = tuple(forced_base) if forced_base is not None else None
     for idx, pc in enumerate(constraints):
         c0, v0, n0 = len(bld.clauses), bld.num_vars, bld.comparators
         s0 = len(bld.network_sizes)
@@ -435,8 +413,8 @@ def encode_instance(
                 idx, (), cfg.kind.value, None, 1, 0, 0, (), True, False))
             continue
         s = Multiset.of(c for c, _ in pc.terms)
-        if shared is not None:
-            base, fellback = shared, False
+        if forced is not None:
+            base, fellback = forced, False
         else:
             if s not in searched:
                 searched[s] = _search_base(s, cfg, fallback_binary)

@@ -1,4 +1,4 @@
-"""Mixed radix bases: weights, digit extraction, and representation matrices.
+"""Mixed radix bases: weights, digit extraction, and coefficient multisets.
 
 A base is a finite sequence of radices, each at least 2.  A number written
 in a base of length k always has k+1 digits (least significant first); the
@@ -123,28 +123,3 @@ class Multiset:
     @property
     def distinct_count(self) -> int:
         return len(self.counts)
-
-
-@dataclass(frozen=True)
-class DigitMatrix:
-    """Row i holds the digit vector of the i-th multiset element."""
-
-    rows: tuple[DigitVector, ...]
-    base: Base
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.rows)
-
-    def msd_column(self) -> tuple[int, ...]:
-        return self.column(len(self.base))
-
-
-def digit_matrix(s: Multiset, base: Sequence[int]) -> DigitMatrix:
-    base = tuple(base)
-    return DigitMatrix(tuple(digits_of(v, base) for v in s.elements), base)
-
-
-def is_redundant(s: Multiset, base: Sequence[int]) -> bool:
-    """A base is redundant for S when its product exceeds max(S), which is
-    exactly when the most significant digit column is all zeros."""
-    return product(base) > s.max

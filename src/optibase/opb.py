@@ -56,11 +56,14 @@ class RawConstraint:
 @dataclass
 class PbInstance:
     names: list[str]                      # index i holds the name of id i+1
-    ids: dict[str, int]
     constraints: list[PbConstraint]
     raws: list[RawConstraint]             # the constraints as written
     objective: tuple[tuple[int, str, bool], ...] | None = None
-    skipped_objective: bool = False
+
+    @property
+    def skipped_objective(self) -> bool:
+        """The objective is parsed but not encoded (decision-only)."""
+        return self.objective is not None
 
     def name_of(self, var: int) -> str:
         return self.names[var - 1]
@@ -216,12 +219,8 @@ def load_instance(text: str, saturate: bool = False) -> PbInstance:
     raws, objective = parse(text)
     ids: dict[str, int] = {}
     constraints = [pc for rc in raws for pc in normalize(rc, ids, saturate)]
-    names = [None] * len(ids)
-    for name, i in ids.items():
-        names[i - 1] = name
-    return PbInstance(names, ids, constraints, raws,
-                      objective=objective,
-                      skipped_objective=objective is not None)
+    # ids are dense and assigned in insertion order
+    return PbInstance(list(ids), constraints, raws, objective=objective)
 
 
 def coefficient_multiset(c: PbConstraint) -> Multiset:

@@ -115,6 +115,18 @@ def _initial_candidates(root: BaseEval, kind: CostKind) -> tuple[Base, int]:
     return best, best_cost
 
 
+def _children(state: BaseEval, s: Multiset, cfg: SearchConfig, bound: int):
+    """(p, alpha, cost) for each extension of ``state`` whose alpha is within
+    ``bound``, and how many extensions the bound cut."""
+    ps = _extender_array(state.prod, s, cfg)
+    if len(ps) == 0:
+        return (), 0
+    costs, alphas = state.child_metrics(ps, cfg.kind)
+    keep = np.flatnonzero(alphas <= bound)
+    return (zip(ps[keep].tolist(), alphas[keep].tolist(), costs[keep].tolist()),
+            len(ps) - len(keep))
+
+
 class _Timer:
     def __init__(self, timeout: float | None):
         self.t0 = time.monotonic()
@@ -144,16 +156,10 @@ def dfs_hp(s: Multiset, cfg: SearchConfig) -> SearchResult:
             timed_out = True
             return
         expanded += 1
-        ps = _extender_array(state.prod, s, cfg)
-        if len(ps) == 0:
-            return
-        costs, alphas = state.child_metrics(ps, kind)
         # children over the entry bound stay over any tightened bound
-        candidates = np.flatnonzero(alphas <= best_cost)
-        pruned += len(ps) - len(candidates)
-        for p, alpha, cost in zip(ps[candidates].tolist(),
-                                  alphas[candidates].tolist(),
-                                  costs[candidates].tolist()):
+        children, cut = _children(state, s, cfg, best_cost)
+        pruned += cut
+        for p, alpha, cost in children:
             if timed_out:
                 return
             if alpha > best_cost:
@@ -239,16 +245,10 @@ def _queue_search(s: Multiset, cfg: SearchConfig, hashed: bool) -> SearchResult:
         parent, p = queue.pop_min()
         state = parent if p is None else parent.extend(p)
         expanded += 1
-        ps = _extender_array(state.prod, s, cfg)
-        if len(ps) == 0:
-            continue
-        costs, alphas = state.child_metrics(ps, kind)
-        candidates = np.flatnonzero(alphas <= best_cost)
-        pruned += len(ps) - len(candidates)
+        children, cut = _children(state, s, cfg, best_cost)
+        pruned += cut
         base, prod, length = state.base, state.prod, len(state.base) + 1
-        for p, alpha, cost in zip(ps[candidates].tolist(),
-                                  alphas[candidates].tolist(),
-                                  costs[candidates].tolist()):
+        for p, alpha, cost in children:
             if alpha > best_cost:
                 pruned += 1
                 continue

@@ -9,7 +9,9 @@ import tempfile
 
 import pytest
 
+from optibase import encoder
 from optibase.cli import cluster_key, main
+from optibase.search import find_base
 
 PSI_OPB = "+2 x1 +2 x2 +2 x3 +2 x4 +5 x5 +18 x6 >= 23 ;\n"
 
@@ -267,6 +269,96 @@ def test_solve_external_solver_leaves_no_temp_file(capsys, tmp_path,
                          "--base", "2,3,3")
         assert code == want, solver
         assert list(tmp_dir.iterdir()) == [], solver
+
+
+# OPB text -> the verdict of solve; the last two are UNSAT without an
+# empty clause, and the last one changes when coefficients saturate
+KNOB_CASES = {
+    PSI_OPB: "SAT",
+    "+3 x1 +5 x2 +7 x3 = 8 ;\n": "SAT",
+    "+3 x1 +5 x2 +7 x3 >= 8 ;\n+3 ~x1 +5 ~x2 +7 ~x3 >= 8 ;\n": "UNSAT",
+    "+9 x1 +2 x2 >= 3 ;\n+9 ~x1 +2 ~x2 >= 3 ;\n": "UNSAT",
+}
+
+
+def _encode_totals(capsys, tmp_path, text, *flags):
+    src = tmp_path / "k.opb"
+    src.write_text(text)
+    out_cnf = tmp_path / "k.cnf"
+    code, _, _ = run(capsys, "encode", str(src), "-o", str(out_cnf), *flags)
+    assert code == 0
+    stats = json.loads((tmp_path / "k.cnf.stats.json").read_text())
+    return stats, out_cnf.read_text()
+
+
+def _verdict(capsys, tmp_path, text, *flags):
+    src = tmp_path / "k.opb"
+    src.write_text(text)
+    code, out, _ = run(capsys, "solve", str(src), "--builtin", *flags)
+    assert code == 0
+    return out.splitlines()[0]
+
+
+def test_encode_fallback_binary_flag(capsys, tmp_path, monkeypatch):
+    results = []
+
+    def recording_find_base(s, cfg):
+        results.append(find_base(s, cfg))
+        return results[-1]
+
+    monkeypatch.setattr(encoder, "find_base", recording_find_base)
+    for flag, fellback in (("--fallback-binary", True),
+                           ("--no-fallback-binary", False)):
+        results.clear()
+        stats, _ = _encode_totals(capsys, tmp_path, PSI_OPB, "--cost", "carry",
+                                  "--timeout", "1e-9", flag)
+        st = stats["constraints"][0]
+        assert len(results) == 1 and results[0].timed_out
+        assert st["fallback_binary"] is fellback
+        want = (2, 2, 2, 2) if fellback else results[0].best_base
+        assert st["base"] == list(want)
+
+
+def test_polarity_monotone_fewer_clauses_same_verdicts(capsys, tmp_path):
+    with_comparators = 0
+    for text, verdict in KNOB_CASES.items():
+        totals = {}
+        for polarity in ("full", "monotone"):
+            stats, _ = _encode_totals(capsys, tmp_path, text,
+                                      "--polarity", polarity)
+            totals[polarity] = stats["totals"]
+            assert _verdict(capsys, tmp_path, text,
+                            "--polarity", polarity) == verdict
+        full, monotone = totals["full"], totals["monotone"]
+        assert monotone["comparators"] == full["comparators"]
+        # monotone drops three of each comparator's six clauses
+        if full["comparators"]:
+            with_comparators += 1
+            assert monotone["clauses"] < full["clauses"], text
+        else:
+            assert monotone["clauses"] == full["clauses"], text
+    assert with_comparators >= 3
+
+
+def test_saturate_same_verdict(capsys, tmp_path):
+    changed = 0
+    for text, verdict in KNOB_CASES.items():
+        assert _verdict(capsys, tmp_path, text) == verdict
+        assert _verdict(capsys, tmp_path, text, "--saturate") == verdict
+        _, plain = _encode_totals(capsys, tmp_path, text)
+        _, saturated = _encode_totals(capsys, tmp_path, text, "--saturate")
+        changed += plain != saturated
+    assert changed >= 1
+
+
+def test_shared_base_flag_is_gone(capsys, tmp_path):
+    src = tmp_path / "psi.opb"
+    src.write_text(PSI_OPB)
+    code, _, err = run(capsys, "encode", str(src), "-o",
+                       str(tmp_path / "psi.cnf"), "--shared-base")
+    assert code == 1 and "usage error" in err
+    code, _, err = run(capsys, "solve", str(src), "--builtin", "--shared-base")
+    assert code == 1 and "usage error" in err
 
 
 def test_cluster_key():

@@ -103,6 +103,10 @@ def test_heuristic_examples():
     assert heuristic_oracle("comp", S_FIG.elements, (2, 3)) == 0
     assert BaseEval.of(S_PSI, (2, 3, 3)).heuristic_count() == 1
     assert heuristic_oracle("carry", S_PSI.elements, (2, 3, 3)) == 1
+    # redundant bases whose products reach 2**63 and pass it count nothing
+    for base in ((2**62, 2), (2**62, 2**62)):
+        assert BaseEval.of(S_PSI, base).heuristic_count() == 0
+        assert heuristic_oracle("digits", S_PSI.elements, base) == 0
 
 
 def test_cost_alpha_is_partial_plus_heuristic():

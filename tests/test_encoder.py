@@ -418,6 +418,28 @@ def test_encode_instance_equality_halves_share_the_fallback(monkeypatch):
     assert stats[0]["base"] == stats[1]["base"]
 
 
+def test_encode_instance_without_fallback_keeps_best_so_far(monkeypatch):
+    cfg = SearchConfig(kind=CostKind.SUM_CARRY, max_elem=50,
+                       primes_only=False, timeout=1e-9)
+    inst = load_instance(MEMO_OPB)
+    results = []
+
+    def recording_find_base(s, cfg):
+        results.append(find_base(s, cfg))
+        return results[-1]
+
+    monkeypatch.setattr(encoder, "find_base", recording_find_base)
+    _, stats = encode_instance(inst.constraints, len(inst.names), cfg,
+                               fallback_binary=False)
+    multisets = [tuple(sorted(c for c, _ in pc.terms))
+                 for pc in inst.constraints]
+    searched = dict(zip(dict.fromkeys(multisets), results))
+    assert len(results) == 2 and all(r.timed_out for r in results)
+    for st, m in zip(stats, multisets):
+        assert st.base == searched[m].best_base
+        assert not st.fallback_binary
+
+
 def test_fresh_variable_budget_guard():
     bld = CnfBuilder(0)
     bld.num_vars = 2**31 - 1

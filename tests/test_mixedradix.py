@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from optibase.mixedradix import (Multiset, digit_matrix, digits_of,
-                                 is_redundant, product, validate_base,
-                                 value_of, weights)
+from optibase.mixedradix import (Multiset, digits_of, product,
+                                 validate_base, value_of, weights)
 
 from helpers import digits_oracle, enumerate_bases
 
@@ -63,27 +62,32 @@ def test_round_trip_and_digit_ranges():
         assert list(d) == digits_oracle(v, base)
 
 
+def _rows(s, base):
+    """The digit matrix of S in a base: one digit vector per element."""
+    return tuple(digits_of(v, base) for v in s)
+
+
 def test_digit_matrix_running_example():
-    s = Multiset.of([2, 2, 2, 2, 5, 18])
-    m = digit_matrix(s, (2, 3, 3))
-    assert m.rows == (
+    rows = _rows(Multiset.of([2, 2, 2, 2, 5, 18]), (2, 3, 3))
+    assert rows == (
         (0, 1, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0), (0, 1, 0, 0),
         (1, 2, 0, 0), (0, 0, 0, 1),
     )
-    assert m.msd_column() == (0, 0, 0, 0, 0, 1)
+    assert tuple(row[3] for row in rows) == (0, 0, 0, 0, 0, 1)  # MSD column
 
 
 def test_digit_matrix_unary_and_digit_sum():
-    assert digit_matrix(Multiset.of([1]), ()).rows == ((1,),)
-    m = digit_matrix(Multiset.of([16, 30, 54, 60]), (3, 5, 2, 2))
-    assert sum(sum(row) for row in m.rows) == 9
+    assert _rows(Multiset.of([1]), ()) == ((1,),)
+    rows = _rows(Multiset.of([16, 30, 54, 60]), (3, 5, 2, 2))
+    assert sum(sum(row) for row in rows) == 9
 
 
 def test_is_redundant_examples():
+    # a base is redundant for S when its product exceeds max(S)
     s = Multiset.of([16, 30, 54, 60])
-    assert is_redundant(s, (2,) * 6)          # 64 > 60
-    assert not is_redundant(Multiset.of([2, 2, 2, 2, 5, 18]), (2, 3, 3))
-    assert not is_redundant(s, ())
+    assert product((2,) * 6) > s.max          # 64 > 60
+    assert not product((2, 3, 3)) > Multiset.of([2, 2, 2, 2, 5, 18]).max
+    assert not product(()) > s.max
 
 
 def test_redundancy_equivalence():
@@ -97,8 +101,8 @@ def test_redundancy_equivalence():
             elems[0] = max_val
             s = Multiset.of(elems)
             for b in bases:
-                msd_zero = all(x == 0 for x in digit_matrix(s, b).msd_column())
-                assert is_redundant(s, b) == msd_zero == (product(b) > s.max)
+                msd_zero = all(row[-1] == 0 for row in _rows(s, b))
+                assert msd_zero == (product(b) > s.max)
 
 
 def test_prefix_stability():

@@ -28,6 +28,7 @@ def test_parse_objective_flagged_and_skipped():
     assert inst.skipped_objective
     assert inst.objective == ((1, "x1", False),)
     assert len(inst.constraints) == 1
+    assert not load_instance("+1 x1 >= 1 ;\n").skipped_objective
 
 
 def test_parse_negated_literals_and_relations():
@@ -175,5 +176,7 @@ def test_coefficient_multiset():
 def test_ids_dense_in_first_appearance_order():
     inst = load_instance("+1 x7 +1 x3 >= 1 ;\n+1 x3 +1 x9 >= 1 ;\n")
     assert inst.names == ["x7", "x3", "x9"]
-    assert inst.ids == {"x7": 1, "x3": 2, "x9": 3}
+    # names[i - 1] names variable id i, as the constraints use it
+    assert [inst.name_of(lit) for pc in inst.constraints
+            for _, lit in pc.terms] == ["x7", "x3", "x3", "x9"]
     assert [rc.line for rc in inst.raws] == [1, 2]
