@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 from .cost import CostKind
@@ -131,7 +132,7 @@ def cmd_find_base(args) -> int:
     if args.json:
         payload = [dict(_result_dict(s, r), label=label)
                    for label, s, r in results]
-        print(json.dumps(payload if len(payload) > 1 else payload[0], indent=2))
+        print(json.dumps(payload if len(payload) != 1 else payload[0], indent=2))
     else:
         for label, s, res in results:
             prefix = f"{label}: " if len(results) > 1 else ""
@@ -188,7 +189,7 @@ def cmd_encode(args) -> int:
     Path(args.output).write_text(to_dimacs(cnf))
     stats_path = args.stats or args.output + ".stats.json"
     payload = {
-        "constraints": [st.as_dict() for st in stats],
+        "constraints": [asdict(st) for st in stats],
         "totals": {
             "constraints": len(stats),
             "vars": cnf.num_vars,
@@ -315,17 +316,20 @@ def _bench_multiset(pc) -> tuple[int, ...] | None:
     return None if elems[-1] == 1 else elems
 
 
+def _config_cells(cfg: SearchConfig) -> dict:
+    """The CSV cells that name a bench configuration."""
+    return {"algo": cfg.algorithm, "cost": cfg.kind.value,
+            "max_elem": cfg.max_elem, "primes": int(cfg.primes_only)}
+
+
 def _bench_one(task):
     """Worker for one (problem, config) cell; returns a CSV row."""
-    name, elems, algo, cost, max_elem, primes, timeout = task
+    name, elems, cfg = task
     s = Multiset.of(elems)
-    cfg = SearchConfig(kind=_COSTS[cost], max_elem=max_elem,
-                       primes_only=primes, algorithm=algo, timeout=timeout)
     row = {
         "row_type": "result", "problem": name, "n": len(elems),
         "max_coeff": s.max, "cluster": cluster_key(s.max),
-        "algo": algo, "cost": cost, "max_elem": max_elem,
-        "primes": int(primes),
+        **_config_cells(cfg),
     }
     try:
         res = find_base(s, cfg)
@@ -364,16 +368,20 @@ def cmd_bench(args) -> int:
                     if elems:
                         problems.append((f"{path.stem}:{ci}", elems))
 
+    primes = None if args.primes == "auto" else args.primes == "on"
     configs = []
     for algo in args.algos.split(","):
         for cost in args.costs.split(","):
+            if cost not in _COSTS:
+                raise UsageError(f"unknown cost {cost!r}")
             for max_elem in (int(t) for t in args.max_elems.split(",")):
-                primes = _primes_only(cost, None if args.primes == "auto"
-                                      else args.primes == "on")
-                configs.append((algo, cost, max_elem, primes))
+                configs.append(SearchConfig(
+                    kind=_COSTS[cost], max_elem=max_elem,
+                    primes_only=_primes_only(cost, primes), algorithm=algo,
+                    timeout=args.timeout))
 
-    tasks = [(name, elems) + cfg + (args.timeout,)
-             for cfg in configs for (name, elems) in problems]
+    # config-major: config i owns rows[i * n:(i + 1) * n]
+    tasks = [(name, elems, cfg) for cfg in configs for name, elems in problems]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_bench_one, tasks))
@@ -381,18 +389,15 @@ def cmd_bench(args) -> int:
         rows = [_bench_one(t) for t in tasks]
 
     # cluster-averaged aggregates per configuration, in config order
-    for algo, cost, max_elem, primes in configs:
-        mine = [r for r in rows
-                if r["row_type"] == "result" and r["algo"] == algo
-                and r["cost"] == cost and r["max_elem"] == max_elem
-                and r["primes"] == int(primes)]
+    n = len(problems)
+    for i, cfg in enumerate(configs):
+        mine = rows[i * n:(i + 1) * n]
         for cluster in sorted({r["cluster"] for r in mine}):
             tr = [r for r in mine if r["cluster"] == cluster]
             timed = [r["time_s"] for r in tr if r["status"] == "ok"]
             rows.append({
-                "row_type": "aggregate", "cluster": cluster, "algo": algo,
-                "cost": cost, "max_elem": max_elem, "primes": int(primes),
-                "count": len(tr),
+                "row_type": "aggregate", "cluster": cluster,
+                **_config_cells(cfg), "count": len(tr),
                 "time_s": round(sum(timed) / len(timed), 6) if timed else "",
             })
 
@@ -475,10 +480,7 @@ def main(argv=None) -> int:
     except OpbParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except ToolError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as e:
+    except (ToolError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

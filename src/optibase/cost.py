@@ -104,8 +104,9 @@ class BaseEval:
 
     @staticmethod
     def root(s: Multiset) -> "BaseEval":
-        values = np.array([v for v, _ in s.counts], dtype=np.int64)
-        mults = np.array([m for _, m in s.counts], dtype=np.int64)
+        values, mults = np.unique(np.array(s.elements, dtype=np.int64),
+                                  return_counts=True)
+        mults = mults.astype(np.int64, copy=False)
         suffix = np.zeros(len(values) + 1, dtype=np.int64)
         suffix[:-1] = mults[::-1].cumsum()[::-1]
         return BaseEval(

@@ -14,7 +14,7 @@ fold away structurally and never reach an emitted clause.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
@@ -107,15 +107,6 @@ class CnfBuilder:
         out = _disjuncts(lits)
         if out is not None:
             self.clauses.append(out)
-
-    def assert_true(self, lit: Lit) -> None:
-        if lit is TRUE:
-            return
-        self.add_clause([lit])
-
-    @property
-    def has_empty_clause(self) -> bool:
-        return any(not cl for cl in self.clauses)
 
 
 def _disjuncts(lits: Iterable[Lit]) -> list[int] | None:
@@ -321,7 +312,7 @@ def encode_geq(digit_buses: Sequence[UnaryBus], threshold_digits: Sequence[int],
         else:
             gt = _bus_at_least(bus, c + 1)
             geq = _or_many([gt, _and2(ge, geq, bld)], bld)
-    bld.assert_true(geq)
+    bld.add_clause([geq])
 
 
 def encode_constraint(c: PbConstraint, base: Sequence[int], bld: CnfBuilder) -> None:
@@ -359,9 +350,6 @@ class ConstraintStats:
     network_sizes: tuple[int, ...]
     statically_unsat: bool
     fallback_binary: bool
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -407,24 +395,20 @@ def encode_instance(
     for idx, pc in enumerate(constraints):
         c0, v0, n0 = len(bld.clauses), bld.num_vars, bld.comparators
         s0 = len(bld.network_sizes)
-        if pc.coefficient_sum < pc.threshold:
-            bld.add_clause([])
-            stats.append(ConstraintStats(
-                idx, (), cfg.kind.value, None, 1, 0, 0, (), True, False))
-            continue
-        s = Multiset.of(c for c, _ in pc.terms)
-        if forced is not None:
-            base, fellback = forced, False
+        unsat = pc.coefficient_sum < pc.threshold
+        if unsat:  # no multiset: the coefficients may sum past 2**63
+            base, fellback = (), False
         else:
-            if s not in searched:
+            s = Multiset.of(c for c, _ in pc.terms)
+            if forced is None and s not in searched:
                 searched[s] = _search_base(s, cfg, fallback_binary)
-            base, fellback = searched[s]
+            base, fellback = searched[s] if forced is None else (forced, False)
         encode_constraint(pc, base, bld)
-        cost_value = cost_of(cfg.kind, s, base)
         stats.append(ConstraintStats(
-            idx, base, cfg.kind.value, cost_value,
+            idx, base, cfg.kind.value,
+            None if unsat else cost_of(cfg.kind, s, base),
             len(bld.clauses) - c0, bld.num_vars - v0, bld.comparators - n0,
-            tuple(bld.network_sizes[s0:]), False, fellback))
+            tuple(bld.network_sizes[s0:]), unsat, fellback))
 
     cnf = Cnf(bld.num_vars, bld.clauses)
     return cnf, stats

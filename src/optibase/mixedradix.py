@@ -9,7 +9,6 @@ where every number is a single digit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 Base = tuple[int, ...]
@@ -62,27 +61,10 @@ def digits_of(value: int, base: Sequence[int]) -> DigitVector:
     return tuple(digits)
 
 
-def value_of(digits: Sequence[int], base: Sequence[int]) -> int:
-    """Inverse of digits_of: the weighted sum of a digit vector."""
-    if len(digits) != len(base) + 1:
-        raise ValueError(
-            f"digit vector of length {len(digits)} does not fit a base of length {len(base)}"
-        )
-    total = 0
-    w = 1
-    for i, d in enumerate(digits):
-        total += d * w
-        if i < len(base):
-            w *= base[i]
-    return total
-
-
 @dataclass(frozen=True)
 class Multiset:
-    """Sorted multiset of positive integers, with the cached views the cost
-    functions need: the maximum, and a (value, multiplicity) run view so a
-    base extension can be re-costed in time proportional to the number of
-    distinct values."""
+    """Sorted multiset of positive integers; ``of`` keeps it 64-bit safe:
+    every element at most 2**62 and the sum below 2**63."""
 
     elements: tuple[int, ...]
 
@@ -108,18 +90,3 @@ class Multiset:
 
     def __iter__(self):
         return iter(self.elements)
-
-    @cached_property
-    def counts(self) -> tuple[tuple[int, int], ...]:
-        """Distinct values with multiplicities, ascending."""
-        runs: list[tuple[int, int]] = []
-        for v in self.elements:
-            if runs and runs[-1][0] == v:
-                runs[-1] = (v, runs[-1][1] + 1)
-            else:
-                runs.append((v, 1))
-        return tuple(runs)
-
-    @property
-    def distinct_count(self) -> int:
-        return len(self.counts)

@@ -103,12 +103,9 @@ class Solver:
             decisions.append((len(trail), var, False))
             enqueue(var)
             while not propagate():
+                # flipped decisions above sit past the unflipped one's mark
                 while decisions and decisions[-1][2]:
-                    mark = decisions.pop()[0]
-                    for undone in trail[mark:]:
-                        assign[abs(undone)] = 0
-                    del trail[mark:]
-                    head = mark
+                    decisions.pop()
                 if not decisions:
                     return None
                 mark, dvar, _ = decisions.pop()
@@ -118,10 +115,3 @@ class Solver:
                 head = mark
                 decisions.append((mark, dvar, True))
                 enqueue(-dvar)
-
-
-def solve(clauses: Sequence[Sequence[int]], num_vars: int,
-          assumptions: Iterable[int] = (),
-          max_steps: int = 20_000_000) -> Optional[dict[int, bool]]:
-    """One-shot convenience wrapper around Solver."""
-    return Solver(clauses, num_vars).solve(assumptions, max_steps)

@@ -19,7 +19,7 @@ from math import isqrt
 import numpy as np
 
 from .cost import BaseEval, CostKind, cost_of
-from .mixedradix import Base, Multiset, product
+from .mixedradix import Base, Multiset
 
 BRUTE_FORCE_MAX = 10_000
 
@@ -60,37 +60,28 @@ class SearchResult:
 
 
 @lru_cache(maxsize=64)
-def primes_up_to(limit: int) -> tuple[int, ...]:
-    """Ascending primes <= limit, by sieve."""
-    if limit < 2:
-        return ()
-    flags = np.ones(limit + 1, dtype=bool)
+def primes_up_to(limit: int) -> np.ndarray:
+    """Ascending primes <= limit, by sieve: a cached read-only int64 array."""
+    flags = np.ones(max(limit + 1, 2), dtype=bool)
     flags[:2] = False
     for i in range(2, isqrt(limit) + 1):
         if flags[i]:
             flags[i * i:: i] = False
-    return tuple(int(p) for p in np.flatnonzero(flags))
+    primes = np.flatnonzero(flags).astype(np.int64)
+    primes.flags.writeable = False
+    return primes
 
 
-@lru_cache(maxsize=64)
-def _prime_array(limit: int) -> np.ndarray:
-    return np.array(primes_up_to(limit), dtype=np.int64)
-
-
-def _extender_array(prod: int, s: Multiset, cfg: SearchConfig) -> np.ndarray:
+def extenders(prod: int, s: Multiset, cfg: SearchConfig) -> np.ndarray:
+    """Ascending p by which a base of product ``prod`` extends to a
+    non-redundant base for ``s`` under the configured limit and primality."""
     cap = min(cfg.max_elem, s.max // prod)
     if cap < 2:
         return _EMPTY
     if cfg.primes_only:
-        arr = _prime_array(min(cfg.max_elem, s.max))
+        arr = primes_up_to(min(cfg.max_elem, s.max))
         return arr[: int(np.searchsorted(arr, cap, side="right"))]
     return np.arange(2, cap + 1, dtype=np.int64)
-
-
-def extenders(base, s: Multiset, cfg: SearchConfig) -> list[int]:
-    """Ascending integers p by which ``base`` extends to a non-redundant
-    base for ``s`` under the configured element limit and primality."""
-    return [int(p) for p in _extender_array(product(base), s, cfg)]
 
 
 def initial_best(s: Multiset) -> Base:
@@ -118,7 +109,7 @@ def _initial_candidates(root: BaseEval, kind: CostKind) -> tuple[Base, int]:
 def _children(state: BaseEval, s: Multiset, cfg: SearchConfig, bound: int):
     """(p, alpha, cost) for each extension of ``state`` whose alpha is within
     ``bound``, and how many extensions the bound cut."""
-    ps = _extender_array(state.prod, s, cfg)
+    ps = extenders(state.prod, s, cfg)
     if len(ps) == 0:
         return (), 0
     costs, alphas = state.child_metrics(ps, cfg.kind)
@@ -309,7 +300,7 @@ def brute_force(s: Multiset, cfg: SearchConfig) -> SearchResult:
         c = state.cost(kind)
         if c < best_cost:
             best_base, best_cost = state.base, c
-        for p in _extender_array(state.prod, s, cfg):
+        for p in extenders(state.prod, s, cfg):
             visit(state.extend(int(p)))
 
     visit(root)

@@ -70,6 +70,18 @@ def test_find_base_from_opb(capsys, tmp_path):
     assert payload[0]["label"] == "constraint 0"
 
 
+@pytest.mark.parametrize("text", ["* only a comment\n", "+1 x1 >= 0 ;\n"],
+                         ids=["comments-only", "normalized-away"])
+def test_find_base_opb_without_terms(capsys, tmp_path, text):
+    # no constraint keeps a term after normalizing: nothing to search
+    path = tmp_path / "empty.opb"
+    path.write_text(text)
+    code, out, err = run(capsys, "find-base", "--opb", str(path), "--json")
+    assert (code, json.loads(out), err) == (0, [], "")
+    code, out, err = run(capsys, "find-base", "--opb", str(path))
+    assert (code, out, err) == (0, "", "")
+
+
 def test_encode_running_example_stats(capsys, tmp_path):
     src = tmp_path / "psi.opb"
     src.write_text(PSI_OPB)
@@ -104,6 +116,24 @@ def test_encode_statically_unsat_exit_code(capsys, tmp_path):
     code, _, _ = run(capsys, "encode", str(src), "-o", str(out_cnf))
     assert code == 10
     assert "0" in out_cnf.read_text().splitlines()[-1]
+
+
+def test_encode_statically_unsat_sum_past_int64(capsys, tmp_path):
+    # unreachable threshold: no multiset is built, so a coefficient sum
+    # past int64 still gets the statically-unsat entry, even with --base
+    src = tmp_path / "big.opb"
+    src.write_text(f"+{2**62} x1 +{2**62} x2 >= {2**64 + 1} ;\n")
+    out_cnf = tmp_path / "big.cnf"
+    code, _, _ = run(capsys, "encode", str(src), "-o", str(out_cnf),
+                     "--base", "2,3")
+    assert code == 10
+    stats = json.loads((tmp_path / "big.cnf.stats.json").read_text())
+    assert stats["constraints"] == [dict(
+        index=0, base=[], cost_kind="digits", cost_value=None, clauses=1,
+        vars=0, comparators=0, network_sizes=[], statically_unsat=True,
+        fallback_binary=False)]
+    assert stats["totals"]["statically_unsat"] is True
+    assert out_cnf.read_text().splitlines()[-1] == "0"
 
 
 def test_encode_refuses_coefficient_sum_past_int64(capsys, tmp_path):
@@ -196,7 +226,7 @@ def test_solve_statically_unsat_skips_solver(capsys, tmp_path):
 STUB_SOLVER = """#!{python}
 import sys
 sys.path[:0] = {path!r}
-from optibase.satcheck import solve
+from optibase.satcheck import Solver
 clauses, nv = [], 0
 for line in open(sys.argv[1]):
     if line.startswith("c"):
@@ -206,7 +236,7 @@ for line in open(sys.argv[1]):
         continue
     lits = [int(t) for t in line.split()]
     clauses.append(lits[:-1])
-model = solve(clauses, nv)
+model = Solver(clauses, nv).solve()
 if model is None:
     print("s UNSATISFIABLE")
     sys.exit(20)
@@ -418,6 +448,22 @@ def test_bench_empty_dir(capsys, tmp_path):
     assert code == 0
     lines = out_csv.read_text().strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("row_type,")
+
+
+def test_bench_config_errors_exit_1(capsys, tmp_path):
+    code, _, err = run(capsys, "bench", "--gen", "2", "--costs", "digits,foo",
+                       "--out", str(tmp_path / "r.csv"))
+    assert code == 1
+    assert err.strip() == "usage error: unknown cost 'foo'"
+    # configs are checked before any problem is searched, so an empty
+    # corpus does not hide a bad value
+    empty = tmp_path / "corpus"
+    empty.mkdir()
+    for flags in (["--costs", "foo"], ["--algos", "nope"],
+                  ["--max-elems", "1"], ["--max-elems", "x"]):
+        code, _, err = run(capsys, "bench", "--opb-dir", str(empty), *flags,
+                           "--out", str(tmp_path / "r.csv"))
+        assert code == 1 and "error:" in err, flags
 
 
 def test_bench_opb_dir_and_amplify(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import pytest
@@ -181,14 +182,14 @@ def test_encode_geq_unreachable_digit_is_empty_clause():
     bld = CnfBuilder(2)
     encode_geq([(1, 2)], (3,), bld)
     assert bld.clauses == [[]]
-    assert bld.has_empty_clause
+    assert [] in bld.clauses
 
 
 def test_encode_constraint_running_example_structure():
     bld = CnfBuilder(6)
     encode_constraint(PSI, (2, 3, 3), bld)
     assert bld.network_sizes == [1, 6, 2, 1]
-    assert not bld.has_empty_clause
+    assert [] not in bld.clauses
 
 
 def test_encode_constraint_unreachable_threshold():
@@ -315,12 +316,21 @@ def test_encode_instance_statically_unsat_and_fallback():
                        primes_only=True, timeout=0.0)
     bad = PbConstraint(((1, 1),), 5)
     ok = PbConstraint(((9, 2), (9, 3)), 9)
+    unsat_entry = dict(
+        index=0, base=(), cost_kind="digits", cost_value=None, clauses=1,
+        vars=0, comparators=0, network_sizes=(), statically_unsat=True,
+        fallback_binary=False)
     cnf, stats = encode_instance([bad, ok], 3, cfg)
-    assert stats[0].statically_unsat and stats[0].base == ()
+    assert asdict(stats[0]) == unsat_entry
     assert cnf.has_empty_clause
     # zero-second search budget forces the binary fallback
     assert stats[1].fallback_binary
     assert stats[1].base == (2, 2, 2)
+    # a forced base leaves the unsatisfiable entry as it is
+    cnf, stats = encode_instance([bad, ok], 3, cfg, forced_base=(2, 3))
+    assert asdict(stats[0]) == unsat_entry
+    assert cnf.has_empty_clause
+    assert stats[1].base == (2, 3) and not stats[1].fallback_binary
 
 
 def test_encode_instance_forced_base_stats():
@@ -392,7 +402,7 @@ def _encode_counting(monkeypatch, cfg, shared_search=True):
             m.setattr(encoder, "Multiset", SimpleNamespace(
                 of=lambda values: _Unshared(Multiset.of(values).elements)))
         cnf, stats = encode_instance(inst.constraints, len(inst.names), cfg)
-    return inst, to_dimacs(cnf), [st.as_dict() for st in stats], calls
+    return inst, to_dimacs(cnf), [asdict(st) for st in stats], calls
 
 
 def test_encode_instance_searches_each_multiset_once(monkeypatch):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from optibase.mixedradix import (Multiset, digits_of, product,
-                                 validate_base, value_of, weights)
+                                 validate_base, weights)
 
 from helpers import digits_oracle, enumerate_bases
 
@@ -38,15 +38,16 @@ def test_digits_of_rejects_negative():
         digits_of(-1, (2,))
 
 
+def _value(digits, base):
+    """The weighted sum of a digit vector: the inverse of digits_of."""
+    assert len(digits) == len(base) + 1
+    return sum(d * w for d, w in zip(digits, weights(base)))
+
+
 def test_value_of_examples():
-    assert value_of((1, 2, 0, 1), (2, 3, 3)) == 23
-    assert value_of((0, 0, 0, 0), (2, 3, 3)) == 0
-    assert value_of((1, 0, 0, 0), (2, 3, 3)) == 1
-
-
-def test_value_of_length_mismatch():
-    with pytest.raises(ValueError):
-        value_of((1, 0), (2, 3))
+    assert _value((1, 2, 0, 1), (2, 3, 3)) == 23
+    assert _value((0, 0, 0, 0), (2, 3, 3)) == 0
+    assert _value((1, 0, 0, 0), (2, 3, 3)) == 1
 
 
 def test_round_trip_and_digit_ranges():
@@ -58,7 +59,7 @@ def test_round_trip_and_digit_ranges():
         assert len(d) == len(base) + 1
         for i, r in enumerate(base):
             assert 0 <= d[i] < r
-        assert value_of(d, base) == v
+        assert _value(d, base) == v
         assert list(d) == digits_oracle(v, base)
 
 
@@ -163,8 +164,6 @@ def test_multiset_validation_and_views():
     s = Multiset.of([5, 2, 2, 18, 2, 2])
     assert s.elements == (2, 2, 2, 2, 5, 18)
     assert s.max == 18
-    assert s.counts == ((2, 4), (5, 1), (18, 1))
-    assert s.distinct_count == 3
     assert len(s) == 6
     with pytest.raises(ValueError):
         Multiset.of([])

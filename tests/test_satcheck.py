@@ -4,32 +4,32 @@ import random
 import pytest
 
 from optibase.encoder import CnfBuilder, PbConstraint, encode_constraint
-from optibase.satcheck import Solver, SolverBudgetExceeded, solve
+from optibase.satcheck import Solver, SolverBudgetExceeded
 
 from helpers import brute_truth_table_sat
 
 
 def test_empty_cnf_is_sat():
-    assert solve([], 0) == {}
+    assert Solver([], 0).solve() == {}
     # unconstrained variables follow the true-first branching order
-    assert solve([], 3) == {1: True, 2: True, 3: True}
+    assert Solver([], 3).solve() == {1: True, 2: True, 3: True}
 
 
 def test_unit_contradiction_is_unsat():
-    assert solve([[1], [-1]], 1) is None
+    assert Solver([[1], [-1]], 1).solve() is None
 
 
 def test_empty_clause_is_unsat():
-    assert solve([[1], []], 1) is None
+    assert Solver([[1], []], 1).solve() is None
 
 
 def test_running_example_assumption():
     psi = PbConstraint(tuple((c, i + 1) for i, c in enumerate([2, 2, 2, 2, 5, 18])), 23)
     bld = CnfBuilder(6)
     encode_constraint(psi, (2, 3, 3), bld)
-    model = solve(bld.clauses, bld.num_vars, [-1, -2, -3, -4, 5, 6])
+    model = Solver(bld.clauses, bld.num_vars).solve([-1, -2, -3, -4, 5, 6])
     assert model is not None  # 5 + 18 = 23 >= 23
-    model = solve(bld.clauses, bld.num_vars, [-1, -2, -3, -4, 5, -6])
+    model = Solver(bld.clauses, bld.num_vars).solve([-1, -2, -3, -4, 5, -6])
     assert model is None      # 5 < 23
 
 
@@ -43,7 +43,7 @@ def test_model_satisfies_all_clauses():
             clause = [rng.choice([1, -1]) * rng.randint(1, num_vars)
                       for _ in range(width)]
             clauses.append(clause)
-        model = solve(clauses, num_vars)
+        model = Solver(clauses, num_vars).solve()
         if model is not None:
             for cl in clauses:
                 assert any(model[abs(l)] == (l > 0) for l in cl)
@@ -58,7 +58,7 @@ def test_agreement_with_truth_tables():
             width = rng.randint(1, 3)
             clauses.append([rng.choice([1, -1]) * rng.randint(1, num_vars)
                             for _ in range(width)])
-        got = solve(clauses, num_vars) is not None
+        got = Solver(clauses, num_vars).solve() is not None
         want = brute_truth_table_sat(clauses, num_vars)
         assert got == want, (num_vars, clauses)
 
@@ -74,20 +74,21 @@ def test_assumptions_equal_unit_clauses():
         for v in range(1, num_vars + 1):
             if rng.random() < 0.4:
                 assumptions.append(v if rng.random() < 0.5 else -v)
-        a = solve(clauses, num_vars, assumptions) is not None
-        b = solve(clauses + [[l] for l in assumptions], num_vars) is not None
+        a = Solver(clauses, num_vars).solve(assumptions) is not None
+        b = Solver(clauses + [[l] for l in assumptions],
+                   num_vars).solve() is not None
         assert a == b
 
 
 def test_conflicting_assumptions():
-    assert solve([[1, 2]], 2, [1, -1]) is None
+    assert Solver([[1, 2]], 2).solve([1, -1]) is None
 
 
 def test_deterministic_model_choice():
     # branching is lowest index, true first
-    assert solve([[1, 2]], 2) == {1: True, 2: True}
-    assert solve([[-1, 2]], 2) == {1: True, 2: True}
-    assert solve([[-1], [1, 2]], 2) == {1: False, 2: True}
+    assert Solver([[1, 2]], 2).solve() == {1: True, 2: True}
+    assert Solver([[-1, 2]], 2).solve() == {1: True, 2: True}
+    assert Solver([[-1], [1, 2]], 2).solve() == {1: False, 2: True}
 
 
 def test_budget_exceeded_is_loud():

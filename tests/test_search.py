@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from optibase.cost import BaseEval, CostKind, cost_of
-from optibase.mixedradix import Multiset
+from optibase.mixedradix import Multiset, product
 from optibase.search import (HashPriorityQueue, SearchConfig, branch_and_bound,
                              brute_force, count_bases, dfs_hp, extenders,
                              find_base, hash_bnb, initial_best, primes_up_to)
@@ -21,18 +22,24 @@ def cfg_for(kind="digits", max_elem=10_000, primes=True, algo="hashbnb",
 
 
 def test_primes_up_to():
-    assert primes_up_to(17) == (2, 3, 5, 7, 11, 13, 17)
-    assert primes_up_to(1) == ()
-    assert set(primes_up_to(100)) == sieve_set(100)
+    assert primes_up_to(17).tolist() == [2, 3, 5, 7, 11, 13, 17]
+    assert primes_up_to(1).tolist() == []
+    assert set(primes_up_to(100).tolist()) == sieve_set(100)
+    # one cached table, shared by every search: callers cannot write it
+    assert primes_up_to(100) is primes_up_to(100)
+    assert primes_up_to(100).dtype == np.int64
+    assert not primes_up_to(100).flags.writeable
 
 
 def test_extenders_examples():
     s = Multiset.of([16, 30, 54, 60])
     cfg = cfg_for(max_elem=17, primes=True)
-    assert extenders((), s, cfg) == [2, 3, 5, 7, 11, 13, 17]
-    assert extenders((3, 5), s, cfg) == [2, 3]
-    assert extenders((2, 2, 3, 5), s, cfg) == []  # product 60 = max
-    assert extenders((), s, cfg_for(max_elem=7, primes=False)) == [2, 3, 4, 5, 6, 7]
+    assert extenders(product(()), s, cfg).tolist() == [2, 3, 5, 7, 11, 13, 17]
+    assert extenders(product((3, 5)), s, cfg).tolist() == [2, 3]
+    # product 60 = max
+    assert extenders(product((2, 2, 3, 5)), s, cfg).tolist() == []
+    assert extenders(product(()), s, cfg_for(max_elem=7, primes=False)
+                     ).tolist() == [2, 3, 4, 5, 6, 7]
 
 
 def test_initial_best_examples():
