@@ -116,25 +116,33 @@ def _result_dict(s: Multiset, res) -> dict:
 
 
 def cmd_find_base(args) -> int:
+    """Search each multiset; --opb reports a refused constraint and goes on."""
     cfg = _search_config(args)
-    jobs: list[tuple[str, Multiset]] = []
+    results = []  # (label, multiset, result), or (label, None, error text)
     if args.set is not None:
-        jobs.append(("set", _parse_multiset(args.set)))
+        s = _parse_multiset(args.set)
+        results.append(("set", s, find_base(s, cfg)))
     else:
         inst = load_instance(Path(args.opb).read_text())
         for i, pc in enumerate(inst.constraints):
-            if pc.terms:
-                jobs.append((f"constraint {i}", coefficient_multiset(pc)))
-    results = []
-    for label, s in jobs:
-        res = find_base(s, cfg)
-        results.append((label, s, res))
+            if not pc.terms:
+                continue
+            label = f"constraint {i}"
+            try:
+                s = coefficient_multiset(pc)
+                results.append((label, s, find_base(s, cfg)))
+            except ValueError as e:
+                print(f"error: {label}: {e}", file=sys.stderr)
+                results.append((label, None, str(e)))
     if args.json:
-        payload = [dict(_result_dict(s, r), label=label)
+        payload = [dict(_result_dict(s, r), label=label) if s is not None
+                   else {"label": label, "error": r}
                    for label, s, r in results]
         print(json.dumps(payload if len(payload) != 1 else payload[0], indent=2))
     else:
         for label, s, res in results:
+            if s is None:
+                continue
             prefix = f"{label}: " if len(results) > 1 else ""
             print(f"{prefix}base: {_fmt_base(res.best_base)}")
             print(f"{prefix}cost: {res.best_cost} ({args.cost})")
@@ -142,7 +150,7 @@ def cmd_find_base(args) -> int:
             print(f"{prefix}algorithm: {res.algorithm} optimal-guaranteed: {guar} "
                   f"expanded: {res.nodes_expanded} pruned: {res.nodes_pruned} "
                   f"elapsed: {res.elapsed:.3f}s")
-    return EXIT_OK
+    return EXIT_USAGE if any(s is None for _, s, _ in results) else EXIT_OK
 
 
 def _encode_options(p: argparse.ArgumentParser) -> None:
@@ -312,7 +320,8 @@ def _bench_multiset(pc) -> tuple[int, ...] | None:
     dropped from corpora, matching how evaluation corpora are prepared."""
     if not pc.terms:
         return None
-    elems = tuple(coefficient_multiset(pc).elements)
+    # unchecked here: _bench_one turns a refused multiset into an error row
+    elems = tuple(sorted(coef for coef, _ in pc.terms))
     return None if elems[-1] == 1 else elems
 
 
@@ -325,14 +334,13 @@ def _config_cells(cfg: SearchConfig) -> dict:
 def _bench_one(task):
     """Worker for one (problem, config) cell; returns a CSV row."""
     name, elems, cfg = task
-    s = Multiset.of(elems)
     row = {
         "row_type": "result", "problem": name, "n": len(elems),
-        "max_coeff": s.max, "cluster": cluster_key(s.max),
+        "max_coeff": max(elems), "cluster": cluster_key(max(elems)),
         **_config_cells(cfg),
     }
     try:
-        res = find_base(s, cfg)
+        res = find_base(Multiset.of(elems), cfg)
         row.update(status="timeout" if res.timed_out else "ok",
                    best_cost=res.best_cost,
                    base=" ".join(map(str, res.best_base)),

@@ -16,11 +16,26 @@ gives a partial cost (the part every extension of the base must pay) and
 an admissible bound ``alpha`` (partial cost plus a heuristic) that never
 overestimates the cost of any extension.  All values are integers; the
 only float is the bit length of a comp network size, which is exact.
+
+``within`` cuts hopeless candidates before ``child_metrics`` divides.
+With cur = values // prod, a radix p takes the i = searchsorted(cur, p)
+values with cur < p whole into the new column, so that column holds at
+least W[i] = sum_{j<i} m_j * cur_j digits; each other value keeps a digit
+above it.  Hence ``prefix_bounds`` lb[i] <= alpha: partial cost + W[i] +
+suffix_counts[i] for digits and carry, prefix_comp + comparator_count(
+W[i] + carry_in) for comp (the count is monotone).  A radix >= 2 has
+i >= i0 = #{cur < 2}; past i0 each step adds m_j * (cur_j - 1) >= 0, so
+lb never decreases and the candidates within a bound are a prefix of the
+ascending array.  Each candidate cut has alpha above the bound as well.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -71,6 +86,7 @@ def _comparator_count_vec(n: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(slots=True, eq=False)
 class BaseEval:
     """Incremental cost evaluation of one base over a fixed multiset.
 
@@ -80,27 +96,18 @@ class BaseEval:
     evaluates a whole batch of candidate extensions at once.
     """
 
-    __slots__ = (
-        "multiset", "values", "mults", "suffix_counts", "base", "prod",
-        "cur", "prefix_digits", "prefix_carries", "prefix_comp",
-        "msd_sum", "carry_in",
-    )
-
-    def __init__(self, multiset, values, mults, suffix_counts, base, prod,
-                 cur, prefix_digits, prefix_carries, prefix_comp,
-                 msd_sum, carry_in):
-        self.multiset = multiset
-        self.values = values
-        self.mults = mults
-        self.suffix_counts = suffix_counts
-        self.base = base
-        self.prod = prod
-        self.cur = cur
-        self.prefix_digits = prefix_digits
-        self.prefix_carries = prefix_carries
-        self.prefix_comp = prefix_comp
-        self.msd_sum = msd_sum
-        self.carry_in = carry_in
+    multiset: Multiset
+    values: np.ndarray  # distinct elements, ascending
+    mults: np.ndarray  # their multiplicities
+    suffix_counts: np.ndarray  # suffix_counts[i] = sum(mults[i:])
+    base: tuple[int, ...]
+    prod: int
+    cur: np.ndarray  # values // prod
+    prefix_digits: int
+    prefix_carries: int
+    prefix_comp: int
+    msd_sum: int  # sum(mults * cur)
+    carry_in: int  # carry into the most significant column
 
     @staticmethod
     def root(s: Multiset) -> "BaseEval":
@@ -164,6 +171,26 @@ class BaseEval:
         if kind is CostKind.NUM_COMP:
             return self.prefix_comp
         return self.partial(kind) + self.heuristic_count()
+
+    def prefix_bounds(self, kind: CostKind) -> list[int]:
+        """lb[i] <= alpha of each child whose radix has i values of ``cur``
+        below it (see the module docstring); no division."""
+        whole = accumulate(map(mul, self.mults.tolist(), self.cur.tolist()),
+                           initial=0)
+        if kind is CostKind.NUM_COMP:
+            return [self.prefix_comp + comparator_count(w + self.carry_in)
+                    for w in whole]
+        part = self.partial(kind)
+        return [part + w + n for w, n in zip(whole, self.suffix_counts.tolist())]
+
+    def within(self, ps: np.ndarray, kind: CostKind, bound: int) -> np.ndarray:
+        """The leading candidates of ascending ``ps`` (each <= max(S) // prod)
+        within ``bound`` by ``prefix_bounds``; the rest have alpha > bound."""
+        cur = self.cur.tolist()
+        i0 = bisect_left(cur, 2)  # lb is non-decreasing from i0 on
+        last = bisect_right(self.prefix_bounds(kind), bound, i0, len(cur)) - 1
+        top = cur[last] if last >= i0 else 0
+        return ps[: int(np.searchsorted(ps, top, side="right"))]
 
     def child_metrics(self, ps: np.ndarray, kind: CostKind):
         """(cost, alpha) arrays for extending by each candidate in ``ps``.

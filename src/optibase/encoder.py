@@ -24,6 +24,10 @@ from .search import SearchConfig, SearchResult, find_base, initial_best
 
 MAX_VARIABLES = 2**31 - 1
 
+# Unary digit inputs ``decompose`` builds for one constraint: a network on
+# 2**20 (10**8 comparators) could never be emitted; searched bases stay far below.
+MAX_BUS_INPUTS = 1 << 20
+
 
 class _Const:
     __slots__ = ("_name",)
@@ -255,10 +259,16 @@ def sorting_network(inputs: Sequence[Lit], bld: CnfBuilder) -> UnaryBus:
 
 def decompose(c: PbConstraint, base: Sequence[int]) -> list[UnaryBus]:
     """Per-position input buses: each term's literal repeats as many times
-    as its coefficient digit at that position."""
+    as its coefficient digit at that position.  Refuses, before building
+    any bus, a base that gives more than ``MAX_BUS_INPUTS`` digits."""
+    terms = [(digits_of(coef, base), lit) for coef, lit in c.terms]
+    total = sum(sum(ds) for ds, _ in terms)
+    if total > MAX_BUS_INPUTS:
+        raise ValueError(f"the base gives one constraint {total} unary digit "
+                         f"inputs, past the limit {MAX_BUS_INPUTS}")
     buses: list[list[Lit]] = [[] for _ in range(len(base) + 1)]
-    for coef, lit in c.terms:
-        for j, d in enumerate(digits_of(coef, base)):
+    for ds, lit in terms:
+        for j, d in enumerate(ds):
             if d:
                 buses[j].extend([lit] * d)
     return [tuple(b) for b in buses]

@@ -108,13 +108,15 @@ def _initial_candidates(root: BaseEval, kind: CostKind) -> tuple[Base, int]:
 
 def _children(state: BaseEval, s: Multiset, cfg: SearchConfig, bound: int):
     """(p, alpha, cost) for each extension of ``state`` whose alpha is within
-    ``bound``, and how many extensions the bound cut."""
+    ``bound`` (``BaseEval.within`` cuts first), and how many the bound cut."""
     ps = extenders(state.prod, s, cfg)
-    if len(ps) == 0:
-        return (), 0
-    costs, alphas = state.child_metrics(ps, cfg.kind)
+    live = state.within(ps, cfg.kind, bound)
+    if len(live) == 0:
+        return (), len(ps)
+    costs, alphas = state.child_metrics(live, cfg.kind)
     keep = np.flatnonzero(alphas <= bound)
-    return (zip(ps[keep].tolist(), alphas[keep].tolist(), costs[keep].tolist()),
+    return (zip(live[keep].tolist(), alphas[keep].tolist(),
+                costs[keep].tolist()),
             len(ps) - len(keep))
 
 

@@ -166,6 +166,28 @@ def test_encode_rejects_radix_past_2_62(tmp_path):
     assert "error:" in proc.stderr
 
 
+def _cap_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_encode_refuses_oversized_forced_base_buses(tmp_path):
+    # base 2,3 leaves digits near 3.6e8 on each of these coefficients; the
+    # buses are refused before any is built.  The 1 GiB address-space cap
+    # turns an attempt to build them into a MemoryError, not a host OOM.
+    src = tmp_path / "t.opb"
+    src.write_text("+2147483000 x1 +2147483001 x2 >= 5 ;\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "optibase.cli", "encode", str(src),
+         "-o", str(tmp_path / "t.cnf"), "--base", "2,3"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        preexec_fn=_cap_address_space)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and "unary digit inputs" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_encode_large_radix_counts(capsys, tmp_path):
     src = tmp_path / "t.opb"
     src.write_text("+6 x1 +10 x2 >= 7 ;\n")
@@ -487,6 +509,53 @@ def test_bench_opb_dir_and_amplify(capsys, tmp_path):
     assert len(results) == 6
     maxes = sorted(int(r["max_coeff"]) for r in results)
     assert maxes == [10 * 31**i for i in range(6)]
+
+
+OVERSIZED_OPB = f"+{2**62} x1 +{2**62} x2 >= {2**64 + 1} ;\n"
+
+
+def test_bench_oversized_constraint_is_an_error_row(capsys, tmp_path):
+    # coefficients summing to 2**63 refuse one problem, not the run; under
+    # --amplify-31 the scaled copies past 2**62 refuse theirs
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "big.opb").write_text(OVERSIZED_OPB)
+    (corpus / "one.opb").write_text("+6 x1 +10 x2 >= 7 ;\n")
+    out_csv = tmp_path / "r.csv"
+    code, _, err = run(capsys, "bench", "--opb-dir", str(corpus),
+                       "--costs", "carry", "--max-elems", "100",
+                       "--out", str(out_csv))
+    assert (code, err) == (0, "")
+    results = {r["problem"]: r for r in _read_csv(out_csv.read_text())
+               if r["row_type"] == "result"}
+    assert results["big:0"]["status"] == "error"
+    assert "2**63" in results["big:0"]["error"]
+    assert results["big:0"]["max_coeff"] == str(2**62)
+    assert results["one:0"]["status"] == "ok"
+
+    (corpus / "big.opb").write_text(f"+{2**40} x1 +7 x2 >= 9 ;\n")
+    code, _, _ = run(capsys, "bench", "--opb-dir", str(corpus),
+                     "--amplify-31", "--costs", "carry", "--max-elems", "100",
+                     "--out", str(out_csv))
+    assert code == 0
+    status = {r["problem"]: r["status"] for r in _read_csv(out_csv.read_text())
+              if r["row_type"] == "result"}
+    assert len(status) == 12
+    assert status["big.31pow5:0"] == "error"  # 2**40 * 31**5 > 2**62
+    assert all(status[f"one.31pow{i}:0"] == "ok" for i in range(6))
+
+
+def test_find_base_opb_oversized_constraint_goes_on(capsys, tmp_path):
+    path = tmp_path / "a.opb"
+    path.write_text(OVERSIZED_OPB + PSI_OPB)
+    code, out, err = run(capsys, "find-base", "--opb", str(path), "--json")
+    payload = json.loads(out)
+    assert code == 1 and "error: constraint 0:" in err
+    assert payload[0]["label"] == "constraint 0" and "2**63" in payload[0]["error"]
+    assert payload[1]["label"] == "constraint 1" and payload[1]["cost"] == 8
+    code, out, err = run(capsys, "find-base", "--opb", str(path))
+    assert code == 1 and "error: constraint 0:" in err
+    assert "constraint 1: cost: 8 (digits)" in out
 
 
 def test_bench_parallel_jobs_match_serial(capsys, tmp_path):

@@ -2,12 +2,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from optibase.cost import (BaseEval, CostKind, _bit_length, comparator_count,
                            cost_of)
 from optibase.encoder import PbConstraint, _batcher_pairs, decompose
 from optibase.mixedradix import Multiset, product
-from optibase.search import COMP_SUM_LIMIT
+from optibase.search import COMP_SUM_LIMIT, SearchConfig, _children, extenders
 
 from helpers import (breakdown_oracle, cost_oracle, emitted_columns,
                      engine_columns, heuristic_oracle, partial_oracle)
@@ -265,10 +267,9 @@ def _near_sum_bound(rng, bound, n):
     return vals
 
 
-def test_child_metrics_every_candidate_at_int64_edges():
-    # every index of ps, not a sample: small multisets, elements near 2**62
-    # with sums near 2**63 (digits, carry), sums just below the comp limit
-    rng = random.Random(17)
+def _edge_multisets(rng):
+    """Small multisets, elements near 2**62 with sums near 2**63 (for
+    digits and carry), and sums just below the comp limit."""
     small = [[rng.randint(1, 10**4) for _ in range(rng.randint(1, 8))]
              for _ in range(60)]
     top = [[(1 << 62), (1 << 62) - 1], [(1 << 62) - 3, (1 << 62) - 5, 7],
@@ -277,6 +278,13 @@ def test_child_metrics_every_candidate_at_int64_edges():
     comp = [[1 << 50, (1 << 50) - 1], [1 << 49] * 3 + [(1 << 49) - 1]]
     comp += [_near_sum_bound(rng, COMP_SUM_LIMIT, rng.randint(3, 5))
              for _ in range(12)]
+    return small, top, comp
+
+
+def test_child_metrics_every_candidate_at_int64_edges():
+    # every index of ps, not a sample
+    rng = random.Random(17)
+    small, top, comp = _edge_multisets(rng)
     digits_carry = [CostKind.SUM_DIGITS, CostKind.SUM_CARRY]
     for group, kinds in ((small, list(CostKind)), (top, digits_carry),
                          (comp, list(CostKind))):
@@ -293,6 +301,90 @@ def test_child_metrics_every_candidate_at_int64_edges():
                     costs, alphas = ev.child_metrics(ps, kind)
                     assert costs.tolist() == [c.cost(kind) for c in children]
                     assert alphas.tolist() == [c.alpha(kind) for c in children]
+
+
+_, _EDGE_TOP, _EDGE_COMP = _edge_multisets(random.Random(18))
+
+
+def _kinds(s):
+    if sum(s.elements) < COMP_SUM_LIMIT:
+        return list(CostKind)
+    return [CostKind.SUM_DIGITS, CostKind.SUM_CARRY]
+
+
+@st.composite
+def _states(draw):
+    """The state of a random non-redundant base, with at least one
+    extender, for a small multiset (small values and repeats included) or
+    one at the int64 edges."""
+    if draw(st.booleans()):
+        value = st.integers(1, 12) | st.integers(1, 10**4)
+        elems = draw(st.lists(value, min_size=1, max_size=8))
+    else:
+        elems = draw(st.sampled_from(_EDGE_TOP + _EDGE_COMP))
+    s = Multiset.of(elems)
+    ev = BaseEval.root(s)
+    for _ in range(draw(st.integers(0, 3))):
+        cap = s.max // ev.prod
+        if cap < 2:
+            break
+        ev = ev.extend(draw(st.integers(2, min(cap, 9)) | st.integers(2, cap)))
+    assume(s.max // ev.prod >= 2)
+    return ev
+
+
+_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
+                     database=None)
+
+
+@_PROPERTY
+@given(_states(), st.randoms(use_true_random=False))
+def test_prefix_bounds_admissible_and_tight(ev, rng):
+    # lb[i] <= alpha for every candidate p, i = #{cur < p}; equal when p
+    # leaves no remainder in the new column and, under carry, no carry
+    cur, mults = ev.cur.tolist(), ev.mults.tolist()
+    for kind in _kinds(ev.multiset):
+        lb = ev.prefix_bounds(kind)
+        assert len(lb) == len(cur) + 1
+        for p in _edge_extenders(rng, ev).tolist():
+            i = sum(1 for c in cur if c < p)
+            child = ev.extend(p)
+            assert lb[i] <= child.alpha(kind)
+            whole = sum(m * c for m, c in zip(mults, cur) if c < p)
+            exact = (child.prefix_digits - ev.prefix_digits == whole
+                     and (kind is not CostKind.SUM_CARRY or child.carry_in == 0))
+            if exact:
+                assert lb[i] == child.alpha(kind)
+
+
+@_PROPERTY
+@given(_states(), st.randoms(use_true_random=False), st.integers(2, 2000),
+       st.booleans())
+def test_children_cut_matches_uncut_kernel(ev, rng, max_elem, primes):
+    # for a sweep of bounds, the cut changes neither the surviving
+    # (p, alpha, cost) triples nor the count of cut children; on the edge
+    # candidates (up to max(S) // prod) every one ``within`` drops has
+    # alpha above the bound
+    s = ev.multiset
+    edge = _edge_extenders(rng, ev)
+    for kind in _kinds(s):
+        cfg = SearchConfig(kind, max_elem=max_elem, primes_only=primes)
+        ps = extenders(ev.prod, s, cfg)
+        costs, alphas = ev.child_metrics(ps, kind)
+        _, edge_alphas = ev.child_metrics(edge, kind)
+        marks = ev.prefix_bounds(kind)
+        for a in (alphas, edge_alphas):
+            if len(a):
+                marks += [int(a.min()), int(a.max()), rng.choice(a.tolist())]
+        for bound in sorted({m + d for m in marks for d in (-1, 0, 1)}):
+            keep = alphas <= bound
+            want = list(zip(ps[keep].tolist(), alphas[keep].tolist(),
+                            costs[keep].tolist()))
+            children, cut = _children(ev, s, cfg, bound)
+            assert list(children) == want
+            assert cut == len(ps) - len(want)
+            kept = len(ev.within(edge, kind, bound))
+            assert (edge_alphas[kept:] > bound).all()
 
 
 def test_bit_length_matches_int_bit_length():

@@ -165,6 +165,16 @@ def test_decompose_trivial_cases():
     assert buses == [(7,), (7, 7), (), ()]
 
 
+def test_decompose_refuses_digit_sums_past_the_bus_limit():
+    limit = encoder.MAX_BUS_INPUTS
+    buses = decompose(PbConstraint(((limit - 1, 1), (1, 2)), 1), ())
+    assert [len(b) for b in buses] == [limit]
+    with pytest.raises(ValueError, match="unary digit inputs"):
+        decompose(PbConstraint(((limit, 1), (1, 2)), 1), ())
+    # the digit count, not the coefficient, decides: 2**40 in binary is 1
+    assert decompose(PbConstraint(((1 << 40, 1),), 1), (2,) * 40)[40] == (1,)
+
+
 def test_encode_geq_zero_digits_emits_nothing():
     bld = CnfBuilder(4)
     encode_geq([(1, 2), (3, 4)], (0, 0), bld)
