@@ -30,13 +30,6 @@ def validate_base(radices: Sequence[int]) -> Base:
     return base
 
 
-def product(base: Sequence[int]) -> int:
-    out = 1
-    for r in base:
-        out *= r
-    return out
-
-
 def weights(base: Sequence[int]) -> tuple[int, ...]:
     """Positional weights: w[0] = 1 and w[i+1] = w[i] * base[i]."""
     out = [1]

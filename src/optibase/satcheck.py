@@ -5,6 +5,18 @@ variable and tries true first, so runs are deterministic.  This is a
 verification tool for desk-scale formulas, not a competitive solver: on
 circuit-shaped CNFs with the inputs given as assumptions it decides by
 propagation alone.
+
+Longer clauses are watched on two distinct literals (Chaff; Moskewicz et
+al., DAC 2001), two-literal clauses are implication lists and unit clauses
+are permanent first assumptions.  Each assumption is a trail level kept
+after the call (trail reuse; van der Tak, Ramos & Heule, JSAT 2011): the
+next call keeps the longest prefix of levels it still assumes, then its
+other kept literals in their old order, changed literals last, so a sweep
+over input assignments re-propagates mostly what it flips.  Decisions are
+undone on every return.  Answers equal a fresh solver's: chronological
+true-first DPLL returns the lexicographically first model extending the
+assumptions, and propagation reaches the same fixpoint, or a conflict, in
+any order.  `steps` counts the clause literals propagation reads in a call.
 """
 
 from __future__ import annotations
@@ -17,101 +29,151 @@ class SolverBudgetExceeded(RuntimeError):
 
 
 class Solver:
-    """Reusable solver for one clause set; `solve` may be called with many
-    different assumption sets."""
+    """Reusable solver for one clause set, asked many assumption sets."""
 
     def __init__(self, clauses: Sequence[Sequence[int]], num_vars: int):
-        self.num_vars = num_vars
-        self.clauses = [list(cl) for cl in clauses]
-        self.has_empty = any(not cl for cl in self.clauses)
-        # occurrence lists: for every literal, the clauses containing it
-        self.occur: dict[int, list[int]] = {}
-        for ci, cl in enumerate(self.clauses):
-            for lit in cl:
-                if lit == 0 or abs(lit) > num_vars:
-                    raise ValueError(f"literal {lit} outside variable range")
-                self.occur.setdefault(lit, []).append(ci)
+        self.num_vars = n = num_vars
+        self.val = [0] * (2 * n + 1)  # by literal (-v wraps): +1 true, -1 false
+        # bins[l]: literals implied when l turns false; watches[l]: clauses
+        # of three or more literals whose first two positions hold l
+        self.bins: list[list[int]] = [[] for _ in range(2 * n + 1)]
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
+        self.trail: list[int] = []
+        self.levels: list[tuple[int, int]] = []  # (assumption, trail mark)
+        self.steps = 0
+        units = []
+        for cl in clauses:
+            lits = list(dict.fromkeys(cl))  # a copy: the caller's order stays
+            if any(lit == 0 or abs(lit) > n for lit in lits):
+                raise ValueError(f"literal out of range in clause {list(cl)}")
+            if len(lits) > 2:
+                self.watches[lits[0]].append(lits)
+                self.watches[lits[1]].append(lits)
+            elif len(lits) == 2:
+                self.bins[lits[0]].append(lits[1])
+                self.bins[lits[1]].append(lits[0])
+            else:
+                units.append(lits)  # [] for an empty clause
+        self.unsat = [] in units or not self._assume(
+            [cl[0] for cl in units], float("inf"))
+        self.levels.clear()
+        self.root = len(self.trail)
+
+    def _undo(self, mark: int) -> None:
+        val, trail = self.val, self.trail
+        for lit in trail[mark:]:
+            val[lit] = val[-lit] = 0
+        del trail[mark:]
+
+    def _assume(self, lits: Sequence[int], max_steps: float) -> bool:
+        """Assume each literal on a level of its own; False on a conflict."""
+        for lit in lits:
+            if lit == 0 or abs(lit) > self.num_vars:
+                raise ValueError(f"literal {lit} outside variable range")
+            if self.val[lit] < 0:
+                return False
+            self.levels.append((lit, len(self.trail)))
+            if not self.val[lit] and not self._set(lit, max_steps):
+                self._undo(self.levels.pop()[1])
+                return False
+        return True
+
+    def _set(self, lit: int, max_steps: float) -> bool:
+        """Assign the free `lit` and propagate; False on a conflict."""
+        val, bins, watches, trail = self.val, self.bins, self.watches, self.trail
+        val[lit], val[-lit] = 1, -1
+        head, steps = len(trail), self.steps
+        trail.append(lit)
+        while head < len(trail):
+            if steps > max_steps:
+                raise SolverBudgetExceeded(
+                    f"undecided after {max_steps} propagation steps")
+            false = -trail[head]
+            head += 1
+            implied = bins[false]
+            steps += 2 * len(implied)
+            for lit in implied:
+                v = val[lit]
+                if not v:
+                    val[lit], val[-lit] = 1, -1
+                    trail.append(lit)
+                elif v < 0:
+                    self.steps = steps
+                    return False
+            ws = watches[false]
+            if not ws:
+                continue
+            steps += 2 * len(ws)  # both watches of every visited clause
+            keep = watches[false] = []
+            rest = iter(ws)
+            for cl in rest:
+                if cl[0] == false:
+                    cl[0], cl[1] = cl[1], false
+                other = cl[0]
+                if val[other] > 0:
+                    keep.append(cl)
+                    continue
+                for k in range(2, len(cl)):
+                    lit = cl[k]
+                    if val[lit] >= 0:
+                        cl[1], cl[k] = lit, false
+                        watches[lit].append(cl)
+                        break
+                else:
+                    keep.append(cl)
+                    if val[other]:
+                        keep.extend(rest)
+                        self.steps = steps + k - 1
+                        return False
+                    val[other], val[-other] = 1, -1
+                    trail.append(other)
+                steps += k - 1  # literals scanned for a new watch
+        self.steps = steps
+        return True
 
     def solve(self, assumptions: Iterable[int] = (),
               max_steps: int = 20_000_000) -> Optional[dict[int, bool]]:
         """A model extending the assumptions, or None if unsatisfiable."""
-        if self.has_empty:
+        if self.unsat:
             return None
-        assign = [0] * (self.num_vars + 1)  # 0 free, +1 true, -1 false
-        trail: list[int] = []
-        head = 0
-        steps = 0
-        occur = self.occur
-        clauses = self.clauses
+        wanted = dict.fromkeys(assumptions)
+        levels = self.levels
+        kept = next((i for i, (lit, _) in enumerate(levels)
+                     if lit not in wanted), len(levels))
+        order = [lit for lit, _ in levels[kept:] if lit in wanted]
+        for lit, _ in levels:
+            wanted.pop(lit, None)
+        if kept < len(levels):
+            self._undo(levels[kept][1])
+            del levels[kept:]
+        self.steps = 0
+        try:
+            return (self._decide(max_steps)
+                    if self._assume(order + list(wanted), max_steps) else None)
+        except SolverBudgetExceeded:
+            self._undo(self.root)
+            levels.clear()
+            raise
 
-        def enqueue(lit: int) -> bool:
-            v = assign[abs(lit)]
-            if v != 0:
-                return (v > 0) == (lit > 0)
-            assign[abs(lit)] = 1 if lit > 0 else -1
-            trail.append(lit)
-            return True
-
-        def propagate() -> bool:
-            nonlocal head, steps
-            while head < len(trail):
-                lit = trail[head]
-                head += 1
-                for ci in occur.get(-lit, ()):
-                    cl = clauses[ci]
-                    steps += len(cl)
-                    if steps > max_steps:
-                        raise SolverBudgetExceeded(
-                            f"undecided after {max_steps} propagation steps")
-                    unit = 0
-                    open_lits = 0
-                    satisfied = False
-                    for other in cl:
-                        v = assign[abs(other)]
-                        if other < 0:
-                            v = -v
-                        if v > 0:
-                            satisfied = True
-                            break
-                        if v == 0:
-                            open_lits += 1
-                            unit = other
-                            if open_lits > 1:
-                                break
-                    if satisfied or open_lits > 1:
-                        continue
-                    if open_lits == 0:
-                        return False
-                    if not enqueue(unit):
-                        return False
-            return True
-
-        for lit in assumptions:
-            if not enqueue(lit):
-                return None
-        if not propagate():
-            return None
-
-        # chronological backtracking; flipped decisions become forced
-        decisions: list[tuple[int, int, bool]] = []  # (trail mark, var, flipped)
+    def _decide(self, max_steps: int) -> Optional[dict[int, bool]]:
+        """Chronological DPLL above the assumption levels; a flipped
+        decision stays as a forced literal.  Undoes every decision."""
+        val, n, start = self.val, self.num_vars, len(self.trail)
+        unflipped: list[tuple[int, int]] = []  # (trail mark, var)
+        var = 1  # every variable below the newest decision is assigned
         while True:
-            var = 1
-            while var <= self.num_vars and assign[var] != 0:
+            while var <= n and val[var]:
                 var += 1
-            if var > self.num_vars:
-                return {v: assign[v] > 0 for v in range(1, self.num_vars + 1)}
-            decisions.append((len(trail), var, False))
-            enqueue(var)
-            while not propagate():
-                # flipped decisions above sit past the unflipped one's mark
-                while decisions and decisions[-1][2]:
-                    decisions.pop()
-                if not decisions:
+            if var > n:
+                model = {v: val[v] > 0 for v in range(1, n + 1)}
+                self._undo(start)
+                return model
+            unflipped.append((len(self.trail), var))
+            lit = var
+            while not self._set(lit, max_steps):
+                if not unflipped:
+                    self._undo(start)
                     return None
-                mark, dvar, _ = decisions.pop()
-                for undone in trail[mark:]:
-                    assign[abs(undone)] = 0
-                del trail[mark:]
-                head = mark
-                decisions.append((mark, dvar, True))
-                enqueue(-dvar)
+                mark, var = unflipped.pop()
+                self._undo(mark)
+                lit = -var

@@ -136,17 +136,16 @@ def all_assignments(var_ids):
         yield dict(zip(var_ids, bits))
 
 
-def brute_truth_table_sat(clauses, num_vars) -> bool:
-    """Exhaustive satisfiability over all assignments (tiny CNFs only)."""
-    for bits in itertools.product([False, True], repeat=num_vars):
-        ok = True
-        for cl in clauses:
-            if not any((lit > 0) == bits[abs(lit) - 1] for lit in cl):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+def first_model_oracle(clauses, num_vars, assumptions=()):
+    """The first model extending the assumptions when the assignments are
+    listed with variable 1 most significant and true before false; None if
+    there is none (tiny CNFs only)."""
+    units = [[lit] for lit in assumptions]
+    for bits in itertools.product([True, False], repeat=num_vars):
+        if all(any((lit > 0) == bits[abs(lit) - 1] for lit in cl)
+               for cl in list(clauses) + units):
+            return dict(enumerate(bits, start=1))
+    return None
 
 
 def engine_columns(s, base):

@@ -9,11 +9,12 @@ import random
 import time
 from contextlib import contextmanager
 from functools import lru_cache
+from math import prod as product
 
 from optibase.cost import BaseEval, CostKind, comparator_count, cost_of
 from optibase.encoder import (CnfBuilder, PbConstraint, decompose,
                               encode_constraint, normalizer, sorting_network)
-from optibase.mixedradix import Multiset, digits_of, product
+from optibase.mixedradix import Multiset, digits_of
 from optibase.satcheck import Solver
 from optibase.search import (HashPriorityQueue, SearchConfig, branch_and_bound,
                              brute_force, count_bases, dfs_hp, hash_bnb,

@@ -392,6 +392,30 @@ def test_polarity_monotone_fewer_clauses_same_verdicts(capsys, tmp_path):
     assert with_comparators >= 3
 
 
+# Under monotone polarity the asserted output unit clause must propagate
+# before any branching: a DPLL that only met it at a conflict branched on
+# auxiliary variables and gave up here after 20,000,000 propagation steps.
+MONOTONE_OPB = """\
++47 x1 +51 x9 +2 x3 +62 ~x5 +67 x11 +59 x6 >= 234 ;
++33 x10 +88 x11 +11 x12 +60 x1 +60 x6 +45 ~x7 >= 22 ;
++14 x9 +50 x8 +83 x10 >= 40 ;
++22 x3 +69 ~x1 +33 x2 +3 ~x7 +6 x10 >= 40 ;
+"""
+
+
+def test_builtin_solver_decides_monotone_like_full(capsys, tmp_path):
+    src = tmp_path / "m.opb"
+    src.write_text(MONOTONE_OPB)
+    outputs = []
+    for polarity in ("full", "monotone"):
+        code, out, err = run(capsys, "solve", str(src), "--builtin", "--cost",
+                             "carry", "--max-elem", "100", "--polarity", polarity)
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("SAT\n")
+
+
 def test_saturate_same_verdict(capsys, tmp_path):
     changed = 0
     for text, verdict in KNOB_CASES.items():

@@ -1,4 +1,5 @@
 import random
+from math import prod as product
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from optibase.cost import (BaseEval, CostKind, _bit_length, comparator_count,
                            cost_of)
 from optibase.encoder import PbConstraint, _batcher_pairs, decompose
-from optibase.mixedradix import Multiset, product
+from optibase.mixedradix import Multiset
 from optibase.search import COMP_SUM_LIMIT, SearchConfig, _children, extenders
 
 from helpers import (breakdown_oracle, cost_oracle, emitted_columns,

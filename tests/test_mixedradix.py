@@ -1,9 +1,9 @@
 import random
+from math import prod as product
 
 import pytest
 
-from optibase.mixedradix import (Multiset, digits_of, product,
-                                 validate_base, weights)
+from optibase.mixedradix import Multiset, digits_of, validate_base, weights
 
 from helpers import digits_oracle, enumerate_bases
 

@@ -1,12 +1,15 @@
+import copy
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optibase.encoder import CnfBuilder, PbConstraint, encode_constraint
 from optibase.satcheck import Solver, SolverBudgetExceeded
 
-from helpers import brute_truth_table_sat
+from helpers import first_model_oracle
 
 
 def test_empty_cnf_is_sat():
@@ -59,7 +62,7 @@ def test_agreement_with_truth_tables():
             clauses.append([rng.choice([1, -1]) * rng.randint(1, num_vars)
                             for _ in range(width)])
         got = Solver(clauses, num_vars).solve() is not None
-        want = brute_truth_table_sat(clauses, num_vars)
+        want = first_model_oracle(clauses, num_vars) is not None
         assert got == want, (num_vars, clauses)
 
 
@@ -109,10 +112,100 @@ def test_solver_reuse_across_assumption_sets():
     for bits in itertools.product([False, True], repeat=3):
         units = [(i + 1) if b else -(i + 1) for i, b in enumerate(bits)]
         results.append(solver.solve(units) is not None)
-        want.append(brute_truth_table_sat(clauses + [[u] for u in units], 3))
+        want.append(first_model_oracle(clauses, 3, units) is not None)
     assert results == want
 
 
 def test_literal_out_of_range_rejected():
     with pytest.raises(ValueError):
         Solver([[5]], 2)
+    with pytest.raises(ValueError):
+        Solver([[1]], 2).solve([1, 3])
+    with pytest.raises(ValueError):
+        Solver([[1]], 2).solve([0])
+
+
+_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
+                     database=None)
+
+
+def _lit(n):
+    return st.integers(1, n).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@st.composite
+def _clause_sets(draw):
+    # small variable counts make repeated literals and tautologies common
+    n = draw(st.integers(1, 6))
+    clauses = draw(st.lists(st.lists(_lit(n), min_size=1, max_size=4),
+                            max_size=14))
+    if draw(st.integers(0, 19)) == 0:
+        clauses.insert(draw(st.integers(0, len(clauses))), [])
+    return n, clauses
+
+
+def _sweeps(draw, n):
+    """Assumption sets in the orders the checks use, and random ones."""
+    counting = [[v if a >> (v - 1) & 1 else -v for v in range(1, n + 1)]
+                for a in range(1 << n)]  # verify-sweep's order
+    product = [[v if b else -v for v, b in enumerate(bits, start=1)]
+               for bits in itertools.product([False, True], repeat=n)]
+    partial = draw(st.lists(st.lists(_lit(n), max_size=n + 2), max_size=12))
+    parts = [counting, product, partial]
+    return [a for i in draw(st.permutations(range(3))) for a in parts[i]]
+
+
+@_PROPERTY
+@given(_clause_sets(), st.data())
+def test_reused_solver_answers_as_a_fresh_one(cnf, data):
+    n, clauses = cnf
+    solver = Solver(clauses, n)
+    for assumptions in _sweeps(data.draw, n):
+        assert solver.solve(assumptions) == Solver(clauses, n).solve(assumptions)
+
+
+@_PROPERTY
+@given(_clause_sets(), st.data())
+def test_model_is_the_first_in_branching_order(cnf, data):
+    # lowest variable first, true before false: the order every answer
+    # follows, whatever the solver kept from earlier calls
+    n, clauses = cnf
+    assumptions = data.draw(st.lists(_lit(n), max_size=n + 1))
+    want = first_model_oracle(clauses, n, assumptions)
+    assert Solver(clauses, n).solve(assumptions) == want
+
+
+def test_solver_recovers_after_budget_and_unsat_levels():
+    rng = random.Random(55)
+    num_vars = 24
+    clauses = [[rng.choice([1, -1]) * rng.randint(1, num_vars)
+                for _ in range(3)] for _ in range(90)]
+    calls = [[-2, -1], [1, 2], [1, 2, 3], [4, -5], [-1]]
+    want = [Solver(clauses, num_vars).solve(a) for a in calls]
+    assert None in want and any(want)
+    for budget in (20, 100, 200):
+        solver = Solver(clauses, num_vars)
+        solver.solve([-2, -1, 3])
+        with pytest.raises(SolverBudgetExceeded):
+            solver.solve([-2, -1], max_steps=budget)
+        assert [solver.solve(a) for a in calls] == want
+    # 1 forces 2 and 3, which clash whatever 4 is: the level of 1 fails
+    small = [[-1, 2], [-1, 3], [-2, -3, -4], [-2, -3, 4], [5, 6]]
+    solver = Solver(small, 6)
+    for assumptions in ([5, 4, 1], [5, 4], [4, 1, 5], [-1, 5], [4, 2, 3], [6]):
+        assert solver.solve(assumptions) == Solver(small, 6).solve(assumptions)
+    assert solver.solve([5, 4, 1]) is None
+    assert solver.solve([5, 4]) == {1: False, 2: True, 3: False, 4: True,
+                                    5: True, 6: True}
+
+
+def test_solver_leaves_the_callers_clauses_unchanged():
+    psi = PbConstraint(((2, 1), (2, 2), (3, -3), (5, 4), (7, 5)), 9)
+    bld = CnfBuilder(5)
+    encode_constraint(psi, (2, 3), bld)
+    clauses = bld.clauses + [[1, 1, -2], [3, -3, 4], [2]]
+    before = copy.deepcopy(clauses)
+    solver = Solver(clauses, bld.num_vars)
+    for bits in itertools.product([False, True], repeat=5):
+        solver.solve([v if b else -v for v, b in enumerate(bits, start=1)])
+    assert clauses == before

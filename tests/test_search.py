@@ -1,10 +1,11 @@
 import random
+from math import prod as product
 
 import numpy as np
 import pytest
 
 from optibase.cost import BaseEval, CostKind, cost_of
-from optibase.mixedradix import Multiset, product
+from optibase.mixedradix import Multiset
 from optibase.search import (HashPriorityQueue, SearchConfig, branch_and_bound,
                              brute_force, count_bases, dfs_hp, extenders,
                              find_base, hash_bnb, initial_best, primes_up_to)
