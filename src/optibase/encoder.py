@@ -6,7 +6,18 @@ four steps: the coefficients are decomposed into per-position digit buses,
 each bus is sorted into a unary number, a normalizer reduces each sorted
 bus modulo its radix and forwards every radix-th output as a carry into
 the next position, and finally the resulting mixed radix number is
-compared lexicographically against the threshold.
+compared lexicographically against the threshold.  The normalizers build
+only the remainder lines that comparison reads: R_d and, above the
+lowest nonzero threshold digit, R_{d+1} for threshold digit d.
+
+Within one instance, constraints over the same term vector and base read
+one network, each through its own comparison.  A constraint over the
+complemented vector, sum c*~l >= T as the second half of every ``=``
+is, says not (sum c*l >= sum c - T + 1), so it asserts the negated
+comparison on the same network.  That reading is sound only under full
+polarity: a monotone comparator only justifies a true output, so a false
+comparison does not mean a small sum, and a complemented vector builds
+its own network there.
 
 Literals are DIMACS-style signed integers; the TRUE and FALSE sentinels
 fold away structurally and never reach an emitted clause.
@@ -14,13 +25,14 @@ fold away structurally and never reach an emitted clause.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Container, Iterable, Sequence, Union
 
 from .cost import cost_of
 from .mixedradix import Multiset, digits_of
-from .search import SearchConfig, SearchResult, find_base, initial_best
+from .search import SearchConfig, find_base, initial_best
 
 MAX_VARIABLES = 2**31 - 1
 
@@ -137,7 +149,9 @@ def comparator(a: Lit, b: Lit, bld: CnfBuilder) -> tuple[Lit, Lit]:
     Constant inputs fold without allocating variables or emitting clauses
     and do not count toward comparator statistics.  A real comparator
     costs six clauses (three per equivalence), or the three justification
-    clauses under monotone polarity.
+    clauses under monotone polarity.  Equal inputs, which a literal with a
+    digit of 2 or more puts on its bus, make two of them repeats, so
+    those cost four clauses or two.
     """
     if a is TRUE or b is FALSE:
         return a, b
@@ -147,10 +161,12 @@ def comparator(a: Lit, b: Lit, bld: CnfBuilder) -> tuple[Lit, Lit]:
     lo = bld.fresh()
     bld.add_clause([-hi, a, b])
     bld.add_clause([-lo, a])
-    bld.add_clause([-lo, b])
+    if b != a:
+        bld.add_clause([-lo, b])
     if bld.polarity == "full":
         bld.add_clause([-a, hi])
-        bld.add_clause([-b, hi])
+        if b != a:
+            bld.add_clause([-b, hi])
         bld.add_clause([-a, -b, lo])
     bld.comparators += 1
     return hi, lo
@@ -274,7 +290,8 @@ def decompose(c: PbConstraint, base: Sequence[int]) -> list[UnaryBus]:
     return [tuple(b) for b in buses]
 
 
-def normalizer(sorted_bus: UnaryBus, radix: int, bld: CnfBuilder
+def normalizer(sorted_bus: UnaryBus, radix: int, bld: CnfBuilder,
+               lines: Container[int] | None = None
                ) -> tuple[UnaryBus, tuple[Lit, ...]]:
     """Split a sorted bus into its value modulo ``radix`` and the carries.
 
@@ -283,12 +300,17 @@ def normalizer(sorted_bus: UnaryBus, radix: int, bld: CnfBuilder
     the bus value modulo radix is at least i, realized as the disjunction
     over t of (value >= t*radix + i) and not (value >= (t+1)*radix).  The
     lines R_i for m < i < radix would be constant FALSE and are left out.
+    Given ``lines``, only the R_i with i in it are built; the others hold
+    None, which no comparison may read.
     """
     m = len(sorted_bus)
     r = radix
     carries = tuple(sorted_bus[t * r - 1] for t in range(1, m // r + 1))
-    remainder: list[Lit] = []
+    remainder: list[Lit | None] = []
     for i in range(1, min(r, m + 1)):
+        if lines is not None and i not in lines:
+            remainder.append(None)
+            continue
         windows: list[Lit] = []
         t = 0
         while t * r + i <= m:
@@ -310,10 +332,12 @@ def _bus_at_least(bus: UnaryBus, count: int) -> Lit:
 
 
 def encode_geq(digit_buses: Sequence[UnaryBus], threshold_digits: Sequence[int],
-               bld: CnfBuilder) -> None:
+               bld: CnfBuilder, negated: bool = False) -> None:
     """Assert that the mixed radix number on the buses is at least the
-    number with the given digits, comparing most significant first:
-    geq_j = (D_j > c_j) or (D_j >= c_j and geq_below_j)."""
+    number with the given digits, or below it when ``negated``, comparing
+    most significant first: geq_j = (D_j > c_j) or (D_j >= c_j and
+    geq_below_j).  Bus j is read at lines c_j and, above the lowest
+    nonzero digit, c_j + 1."""
     geq: Lit = TRUE
     for bus, c in zip(digit_buses, threshold_digits):
         ge = _bus_at_least(bus, c)
@@ -322,30 +346,41 @@ def encode_geq(digit_buses: Sequence[UnaryBus], threshold_digits: Sequence[int],
         else:
             gt = _bus_at_least(bus, c + 1)
             geq = _or_many([gt, _and2(ge, geq, bld)], bld)
-    bld.add_clause([geq])
+    bld.add_clause([neg(geq) if negated else geq])
 
 
-def encode_constraint(c: PbConstraint, base: Sequence[int], bld: CnfBuilder) -> None:
+def encode_constraint(c: PbConstraint, base: Sequence[int], bld: CnfBuilder,
+                      reads: Iterable[int] = ()) -> list[UnaryBus] | None:
     """Full pipeline for one constraint: decompose, sort each position
     (carries from the previous position join its inputs), normalize all
     but the most significant position, then compare against the
-    threshold.  A constraint whose coefficients cannot reach the
-    threshold emits a single empty clause."""
+    threshold.  The normalizers build only the remainder lines that the
+    comparisons against the threshold and the further thresholds in
+    ``reads`` read.  Returns the digit buses, or None for a constraint
+    whose coefficients cannot reach the threshold: it emits a single
+    empty clause."""
     base = tuple(base)
     if c.coefficient_sum < c.threshold:
         bld.add_clause([])
-        return
+        return None
+    lines: list[set[int]] = [set() for _ in base]
+    for t in (c.threshold, *reads):
+        lowest = True  # no nonzero digit below: encode_geq reads R_d alone
+        for j, d in enumerate(digits_of(t, base)[:-1]):
+            lines[j].update((d,) if lowest else (d, d + 1))
+            lowest = lowest and d == 0
     buses = decompose(c, base)
     carries: tuple[Lit, ...] = ()
     digit_out: list[UnaryBus] = []
     for j in range(len(base) + 1):
         sorted_bus = sorting_network(buses[j] + carries, bld)
         if j < len(base):
-            rem, carries = normalizer(sorted_bus, base[j], bld)
+            rem, carries = normalizer(sorted_bus, base[j], bld, lines[j])
             digit_out.append(rem)
         else:
             digit_out.append(sorted_bus)
     encode_geq(digit_out, digits_of(c.threshold, base), bld)
+    return digit_out
 
 
 @dataclass
@@ -360,6 +395,7 @@ class ConstraintStats:
     network_sizes: tuple[int, ...]
     statically_unsat: bool
     fallback_binary: bool
+    network_of: int | None  # the constraint whose network it reads
 
 
 @dataclass
@@ -395,38 +431,54 @@ def encode_instance(
     searched once: the halves of an ``=`` constraint and repeated
     constraints share the result.  A search that times out falls back to
     the binary base (flagged in the stats) when ``fallback_binary`` is
-    set, and otherwise keeps the best base found.
+    set, and otherwise keeps the best base found.  Constraints over one
+    term vector and base read one network, built by the first of them;
+    under full polarity so do those over its complement (see the module
+    docstring).  A reader emits only its comparison.
     """
     bld = CnfBuilder(num_input_vars, polarity=polarity)
-    stats: list[ConstraintStats] = []
     searched: dict[Multiset, tuple[tuple[int, ...], bool]] = {}
-
     forced = tuple(forced_base) if forced_base is not None else None
+    jobs = []  # (multiset, base, fell back, network owner, threshold, negated)
+    owners: dict[tuple, int] = {}  # (term vector, base) -> first constraint
+    reads = defaultdict(list)  # owner -> every threshold read on its network
     for idx, pc in enumerate(constraints):
+        if pc.coefficient_sum < pc.threshold:  # no multiset: the sum may pass 2**63
+            jobs.append((None, (), False, idx, 0, False))
+            continue
+        s = Multiset.of(c for c, _ in pc.terms)
+        if forced is None and s not in searched:
+            res = find_base(s, cfg)
+            searched[s] = ((initial_best(s), True)
+                           if res.timed_out and fallback_binary
+                           else (res.best_base, False))
+        base, fellback = searched[s] if forced is None else (forced, False)
+        key = (pc.terms, base)
+        flipped = (tuple((c, -lit) for c, lit in pc.terms), base)
+        if key in owners:
+            job = (owners[key], pc.threshold, False)
+        elif polarity == "full" and flipped in owners:
+            job = (owners[flipped], pc.coefficient_sum - pc.threshold + 1, True)
+        else:
+            owners[key] = idx
+            job = (idx, pc.threshold, False)
+        reads[job[0]].append(job[1])
+        jobs.append((s, base, fellback, *job))
+
+    stats: list[ConstraintStats] = []
+    nets: dict[int, list[UnaryBus] | None] = {}
+    for idx, (pc, (s, base, fellback, owner, t, negated)) in enumerate(
+            zip(constraints, jobs)):
         c0, v0, n0 = len(bld.clauses), bld.num_vars, bld.comparators
         s0 = len(bld.network_sizes)
-        unsat = pc.coefficient_sum < pc.threshold
-        if unsat:  # no multiset: the coefficients may sum past 2**63
-            base, fellback = (), False
+        if owner == idx:
+            nets[idx] = encode_constraint(pc, base, bld, reads[idx])
         else:
-            s = Multiset.of(c for c, _ in pc.terms)
-            if forced is None and s not in searched:
-                searched[s] = _search_base(s, cfg, fallback_binary)
-            base, fellback = searched[s] if forced is None else (forced, False)
-        encode_constraint(pc, base, bld)
+            encode_geq(nets[owner], digits_of(t, base), bld, negated)
         stats.append(ConstraintStats(
             idx, base, cfg.kind.value,
-            None if unsat else cost_of(cfg.kind, s, base),
+            None if s is None else cost_of(cfg.kind, s, base),
             len(bld.clauses) - c0, bld.num_vars - v0, bld.comparators - n0,
-            tuple(bld.network_sizes[s0:]), unsat, fellback))
-
-    cnf = Cnf(bld.num_vars, bld.clauses)
-    return cnf, stats
-
-
-def _search_base(s: Multiset, cfg: SearchConfig,
-                 fallback_binary: bool) -> tuple[tuple[int, ...], bool]:
-    result: SearchResult = find_base(s, cfg)
-    if result.timed_out and fallback_binary:
-        return initial_best(s), True
-    return result.best_base, False
+            tuple(bld.network_sizes[s0:]), s is None, fellback,
+            None if owner == idx else owner))
+    return Cnf(bld.num_vars, bld.clauses), stats

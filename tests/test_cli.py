@@ -131,7 +131,7 @@ def test_encode_statically_unsat_sum_past_int64(capsys, tmp_path):
     assert stats["constraints"] == [dict(
         index=0, base=[], cost_kind="digits", cost_value=None, clauses=1,
         vars=0, comparators=0, network_sizes=[], statically_unsat=True,
-        fallback_binary=False)]
+        fallback_binary=False, network_of=None)]
     assert stats["totals"]["statically_unsat"] is True
     assert out_cnf.read_text().splitlines()[-1] == "0"
 
@@ -196,8 +196,8 @@ def test_encode_large_radix_counts(capsys, tmp_path):
                      "--base", "2,1000003")
     assert code == 0
     totals = json.loads((tmp_path / "t.cnf.stats.json").read_text())["totals"]
-    assert (totals["vars"], totals["clauses"]) == (40, 115)
-    assert "p cnf 40 115" in out_cnf.read_text().splitlines()
+    assert (totals["vars"], totals["clauses"]) == (40, 109)
+    assert "p cnf 40 109" in out_cnf.read_text().splitlines()
 
 
 def test_encode_parse_error_exit_code(capsys, tmp_path):
@@ -372,24 +372,37 @@ def test_encode_fallback_binary_flag(capsys, tmp_path, monkeypatch):
 
 
 def test_polarity_monotone_fewer_clauses_same_verdicts(capsys, tmp_path):
-    with_comparators = 0
+    with_comparators = with_rebuilt = 0
     for text, verdict in KNOB_CASES.items():
-        totals = {}
+        totals, per = {}, {}
         for polarity in ("full", "monotone"):
             stats, _ = _encode_totals(capsys, tmp_path, text,
                                       "--polarity", polarity)
             totals[polarity] = stats["totals"]
+            per[polarity] = stats["constraints"]
             assert _verdict(capsys, tmp_path, text,
                             "--polarity", polarity) == verdict
         full, monotone = totals["full"], totals["monotone"]
-        assert monotone["comparators"] == full["comparators"]
-        # monotone drops three of each comparator's six clauses
+        # a complemented term vector reads its owner's network negated under
+        # full polarity; under monotone it builds a network of its own
+        rebuilt = sum(per["full"][f["network_of"]]["comparators"]
+                      for f, m in zip(per["full"], per["monotone"])
+                      if f["network_of"] is not None and m["network_of"] is None)
+        assert monotone["comparators"] == full["comparators"] + rebuilt
+        # monotone drops three of each comparator's six clauses; where it
+        # builds more networks, compare the networks both polarities build
         if full["comparators"]:
             with_comparators += 1
+        if rebuilt:
+            with_rebuilt += 1
+            for f, m in zip(per["full"], per["monotone"]):
+                if f["network_of"] is None and f["comparators"]:
+                    assert m["clauses"] < f["clauses"], text
+        elif full["comparators"]:
             assert monotone["clauses"] < full["clauses"], text
         else:
             assert monotone["clauses"] == full["clauses"], text
-    assert with_comparators >= 3
+    assert with_comparators >= 3 and with_rebuilt >= 2
 
 
 # Under monotone polarity the asserted output unit clause must propagate

@@ -4,6 +4,8 @@ from dataclasses import asdict
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optibase import encoder
 from optibase.cost import CostKind, comparator_count, cost_of
@@ -44,6 +46,10 @@ def test_comparator_folding_and_clauses():
     hi, lo = comparator(1, 2, bld)
     assert (hi, lo) == (3, 4)
     assert len(bld.clauses) == 6 and bld.comparators == 1
+    # a literal with digit 2 meets itself: each distinct clause once
+    assert comparator(1, 1, bld) == (5, 6)
+    assert len(bld.clauses) == 10 and bld.comparators == 2
+    assert len({tuple(sorted(cl)) for cl in bld.clauses}) == 10
 
 
 def test_comparator_semantics_exhaustive():
@@ -61,6 +67,8 @@ def test_comparator_monotone_polarity_halves_clauses():
     bld = CnfBuilder(2, polarity="monotone")
     comparator(1, 2, bld)
     assert len(bld.clauses) == 3 and bld.comparators == 1
+    comparator(2, 2, bld)
+    assert len(bld.clauses) == 5 and bld.comparators == 2
 
 
 @pytest.mark.parametrize("n", list(range(0, 9)))
@@ -329,7 +337,7 @@ def test_encode_instance_statically_unsat_and_fallback():
     unsat_entry = dict(
         index=0, base=(), cost_kind="digits", cost_value=None, clauses=1,
         vars=0, comparators=0, network_sizes=(), statically_unsat=True,
-        fallback_binary=False)
+        fallback_binary=False, network_of=None)
     cnf, stats = encode_instance([bad, ok], 3, cfg)
     assert asdict(stats[0]) == unsat_entry
     assert cnf.has_empty_clause
@@ -438,6 +446,26 @@ def test_encode_instance_equality_halves_share_the_fallback(monkeypatch):
     assert stats[0]["base"] == stats[1]["base"]
 
 
+def test_encode_instance_readers_name_the_network_they_read():
+    # constraint 1 is the complemented half of the =, constraint 2 repeats
+    # constraint 0's term vector, constraint 3 has a vector of its own
+    inst = load_instance("+3 x1 +5 x2 +7 x3 = 8 ;\n+3 x1 +5 x2 +7 x3 >= 4 ;\n"
+                         "+2 x1 +2 x2 >= 1 ;\n")
+    cfg = SearchConfig(kind=CostKind.SUM_CARRY, max_elem=50, primes_only=False)
+    for polarity, want in (("full", [None, 0, 0, None]),
+                           ("monotone", [None, None, 0, None])):
+        cnf, stats = encode_instance(inst.constraints, len(inst.names), cfg,
+                                     polarity=polarity)
+        assert [st.network_of for st in stats] == want
+        for st in stats:
+            if st.network_of is None:
+                assert st.network_sizes
+            else:
+                assert st.comparators == 0 and st.network_sizes == ()
+                assert st.cost_value == stats[st.network_of].cost_value
+        assert sum(st.clauses for st in stats) == len(cnf.clauses)
+
+
 def test_encode_instance_without_fallback_keeps_best_so_far(monkeypatch):
     cfg = SearchConfig(kind=CostKind.SUM_CARRY, max_elem=50,
                        primes_only=False, timeout=1e-9)
@@ -475,3 +503,82 @@ def test_neg_and_clause_folding():
     bld.add_clause([1, -1])           # tautology, dropped
     bld.add_clause([1, 1, 2])         # duplicate literal collapses
     assert bld.clauses == [[1, 2], [1, 2]]
+
+
+def _opb_line(terms, relation, rhs):
+    body = " ".join(f"{c:+d} {'~' if negated else ''}x{v}"
+                    for c, v, negated in terms)
+    return f"{body} {relation} {rhs} ;\n"
+
+
+def test_encode_instance_emits_no_repeated_clause(monkeypatch):
+    # coefficients with digits of 2 or more under small radices, and the
+    # halves of = reading one network: no clause may be written twice
+    equal_inputs = []
+
+    def counting_comparator(a, b, bld):
+        equal_inputs.append(a == b)
+        return comparator(a, b, bld)
+
+    monkeypatch.setattr(encoder, "comparator", counting_comparator)
+    rng = random.Random(61)
+    cfg = SearchConfig(kind=CostKind.SUM_CARRY, max_elem=60, primes_only=False)
+    for _ in range(30):
+        lines = []
+        for _ in range(rng.randint(2, 4)):
+            vs = rng.sample(range(1, 13), rng.randint(3, 8))
+            terms = [(rng.randint(1, 60), v, rng.random() < 0.3) for v in vs]
+            total = sum(c for c, _, _ in terms)
+            lines.append(_opb_line(terms, rng.choice(["=", "<=", ">="]),
+                                   rng.randint(1, total)))
+        inst = load_instance("".join(lines))
+        for forced in (None, (2, 2, 2), (3, 3)):
+            for polarity in ("full", "monotone"):
+                cnf, _ = encode_instance(inst.constraints, len(inst.names), cfg,
+                                         forced_base=forced, polarity=polarity)
+                keys = [tuple(sorted(cl)) for cl in cnf.clauses]
+                assert len(set(keys)) == len(keys)
+    assert sum(equal_inputs) > 100
+
+
+_ROUND_TRIP = settings(max_examples=150, deadline=None, derandomize=True,
+                       database=None)
+
+
+@st.composite
+def _instances(draw):
+    """OPB text over at most four variables: a few term vectors, each used
+    by constraints with any relation, as written or complemented, in any
+    order."""
+    n = draw(st.integers(1, 4))
+    vectors = draw(st.lists(
+        st.lists(st.tuples(st.integers(1, 9), st.integers(1, n), st.booleans()),
+                 min_size=1, max_size=4, unique_by=lambda t: t[1]),
+        min_size=1, max_size=3))
+    lines = []
+    for _ in range(draw(st.integers(1, 5))):
+        terms = draw(st.sampled_from(vectors))
+        if draw(st.booleans()):
+            terms = [(c, v, not negated) for c, v, negated in terms]
+        total = sum(c for c, _, _ in terms)
+        lines.append(_opb_line(terms, draw(st.sampled_from(["=", "<=", ">="])),
+                               draw(st.integers(-1, total + 1))))
+    return "".join(lines)
+
+
+@_ROUND_TRIP
+@given(_instances(), st.sampled_from(["full", "monotone"]), st.booleans(),
+       st.sampled_from([None, (), (2,), (2, 3), (3, 2, 2)]))
+def test_instance_round_trip_agrees_with_arithmetic(text, polarity, saturate,
+                                                    forced):
+    inst = load_instance(text, saturate=saturate)
+    cfg = SearchConfig(kind=CostKind.SUM_CARRY, max_elem=9, primes_only=False)
+    cnf, stats = encode_instance(inst.constraints, len(inst.names), cfg,
+                                 forced_base=forced, polarity=polarity)
+    assert sum(st.clauses for st in stats) == len(cnf.clauses)
+    solver = Solver(cnf.clauses, cnf.num_vars)
+    for bits in itertools.product([False, True], repeat=len(inst.names)):
+        assignment = dict(zip(inst.names, bits))
+        assumptions = [v if b else -v for v, b in enumerate(bits, start=1)]
+        got = solver.solve(assumptions) is not None
+        assert got == all(rc.holds(assignment) for rc in inst.raws), assignment
