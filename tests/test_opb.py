@@ -50,6 +50,29 @@ def test_parse_errors_carry_location():
         parse("+2 x1 +3 >= 1 ;\n")
 
 
+# every kind of parse error, with its message, line and column; the end
+# of input has no line and reports -1, -1
+@pytest.mark.parametrize("text,message,line,col", [
+    ("min: +1 x1 ;\n* c\nmin: +2 x2 ;\n", "second objective line", 3, 1),
+    ("+1 x1 >= 1 ;\n+1 x1 >=\n", "unexpected end of input", -1, -1),
+    ("+1 x1 +2 x2", "unexpected end of input", -1, -1),
+    ("+1 x1 >= 1 ;\n  +1 x2 >= one ;\n", "expected an integer, got 'one'", 2, 12),
+    ("+1 x1 >= 1 ;\nx1 >= 1 ;\n", "expected an integer, got 'x1'", 2, 1),
+    ("+1 x1 >= 1 2 ;\n", "expected ';', got '2'", 1, 12),
+    ("+1 x1 >= 1\n", "expected ';', got None", -1, -1),
+    ("* c\n  >= 1 ;\n", "constraint without terms", 2, 3),
+    ("min: +1 x1\n>= 1 ;\n", "relation inside objective", 2, 1),
+    ("+1 x1 >= 1 ;\n+1 x1 ;\n", "constraint without relation", 2, 7),
+    ("+2 y9 >= 1 ;\n", "expected a variable, got 'y9'", 1, 4),
+    ("+1 x1 >= 1 ;\n+2", "expected a variable, got None", -1, -1),
+])
+def test_parse_error_kinds(text, message, line, col):
+    with pytest.raises(OpbParseError) as e:
+        parse(text)
+    assert str(e.value) == f"line {line}, column {col}: {message}"
+    assert (e.value.line, e.value.col) == (line, col)
+
+
 def test_normalize_negative_coefficient():
     ids = {}
     out = normalize(RawConstraint(((-3, "x1", False), (2, "x2", False)), ">=", -1),
