@@ -73,48 +73,65 @@ _TOKEN = re.compile(r"\S+")
 _VAR = re.compile(r"~?x\d+$")
 
 
-def _tokens(text: str):
+def _tokens(text: str) -> list[tuple[str | None, int, int]]:
+    """(token, line, column) triples, closed by (None, -1, -1)."""
+    toks = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.lstrip()
-        if not stripped or stripped.startswith("*"):
-            continue
-        for m in _TOKEN.finditer(line):
-            yield m.group(0), lineno, m.start() + 1
-    yield None, -1, -1
+        if stripped and not stripped.startswith("*"):
+            toks += [(m.group(0), lineno, m.start() + 1)
+                     for m in _TOKEN.finditer(line)]
+    toks.append((None, -1, -1))
+    return toks
 
 
 def parse(text: str) -> tuple[list[RawConstraint], tuple | None]:
-    """Raw constraints plus the objective term list, if one is present."""
+    """Raw constraints plus the objective term list, if one is present.
+
+    One pass over the tokens; ``head`` is the first token of the statement
+    being read, None between statements."""
     constraints: list[RawConstraint] = []
     objective: tuple | None = None
-
     toks = _tokens(text)
-    tok, line, col = next(toks)
-    while tok is not None:
-        if tok == "min:":
-            if objective is not None:
-                raise OpbParseError("second objective line", line, col)
-            terms, tail = _parse_terms(toks, need_relation=False)
+    i, head, terms = 0, None, []
+    while True:
+        tok, line, col = toks[i]
+        if head is None:
+            if tok is None:
+                return constraints, objective
+            head = toks[i]
+            if tok == "min:":
+                if objective is not None:
+                    raise OpbParseError("second objective line", line, col)
+                i += 1
+                continue
+        if tok in (">=", "<=", "="):
+            if head[0] == "min:":
+                raise OpbParseError("relation inside objective", line, col)
+            rhs = _parse_int(*toks[i + 1])
+            semi, sline, scol = toks[i + 2]
+            if semi != ";":
+                raise OpbParseError(f"expected ';', got {semi!r}", sline, scol)
+            if not terms:
+                raise OpbParseError("constraint without terms", line, col)
+            constraints.append(RawConstraint(tuple(terms), tok, rhs, head[1]))
+            i += 3
+        elif tok == ";":
+            if head[0] != "min:":
+                raise OpbParseError("constraint without relation", line, col)
             objective = tuple(terms)
-            tok, line, col = tail
+            i += 1
+        else:  # a term; _parse_int reports the end of input
+            coef = _parse_int(tok, line, col)
+            vtok, vline, vcol = toks[i + 1]
+            if vtok is None or not _VAR.match(vtok):
+                raise OpbParseError(f"expected a variable, got {vtok!r}",
+                                    vline, vcol)
+            negated = vtok.startswith("~")
+            terms.append((coef, vtok[1:] if negated else vtok, negated))
+            i += 2
             continue
-        first = (tok, line, col)
-        terms, (rel_tok, rline, rcol) = _parse_terms(toks, need_relation=True,
-                                                     first=first)
-        if rel_tok not in (">=", "<=", "="):
-            raise OpbParseError(f"expected a relation, got {rel_tok!r}",
-                                rline, rcol)
-        rhs_tok, hline, hcol = next(toks)
-        rhs = _parse_int(rhs_tok, hline, hcol)
-        semi, sline, scol = next(toks)
-        if semi != ";":
-            raise OpbParseError(f"expected ';', got {semi!r}", sline, scol)
-        if not terms:
-            raise OpbParseError("constraint without terms", rline, rcol)
-        constraints.append(RawConstraint(tuple(terms), rel_tok, rhs,
-                                         line=first[1]))
-        tok, line, col = next(toks)
-    return constraints, objective
+        head, terms = None, []
 
 
 def _parse_int(tok, line, col) -> int:
@@ -124,33 +141,6 @@ def _parse_int(tok, line, col) -> int:
     if not body.isdigit():
         raise OpbParseError(f"expected an integer, got {tok!r}", line, col)
     return int(tok)
-
-
-def _parse_terms(toks, need_relation: bool, first=None):
-    """Coefficient/variable pairs until a relation token (or ';' for the
-    objective).  Returns (terms, stopping token triple)."""
-    terms: list[tuple[int, str, bool]] = []
-    pending = first
-    while True:
-        tok, line, col = pending if pending is not None else next(toks)
-        pending = None
-        if tok is None:
-            raise OpbParseError("unexpected end of input", line, col)
-        if tok in (">=", "<=", "="):
-            if not need_relation:
-                raise OpbParseError("relation inside objective", line, col)
-            return terms, (tok, line, col)
-        if tok == ";":
-            if need_relation:
-                raise OpbParseError("constraint without relation", line, col)
-            return terms, next(toks)
-        coef = _parse_int(tok, line, col)
-        vtok, vline, vcol = next(toks)
-        if vtok is None or not _VAR.match(vtok):
-            raise OpbParseError(f"expected a variable, got {vtok!r}",
-                                vline, vcol)
-        negated = vtok.startswith("~")
-        terms.append((coef, vtok[1:] if negated else vtok, negated))
 
 
 def normalize(rc: RawConstraint, ids: dict[str, int],
