@@ -9,11 +9,12 @@ same optimum; they differ in how much of the tree they touch.
 import time
 
 from optibase import (CostKind, Multiset, SearchConfig, branch_and_bound,
-                      brute_force, count_bases, dfs_hp, hash_bnb)
+                      brute_force, dfs_hp, hash_bnb)
 
 S = Multiset.of([16, 30, 54, 60])
 print("multiset:", list(S.elements))
-print("full base tree size:", count_bases(S), "nodes")
+full = SearchConfig(kind=CostKind.SUM_DIGITS, max_elem=S.max, primes_only=False)
+print("full base tree size:", brute_force(S, full).nodes_expanded, "nodes")
 print()
 
 cfg = SearchConfig(kind=CostKind.SUM_DIGITS, max_elem=60, primes_only=True)

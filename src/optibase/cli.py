@@ -25,7 +25,7 @@ from .mixedradix import Multiset, validate_base
 from .opb import (OpbParseError, PbInstance, coefficient_multiset,
                   instance_to_opb, load_instance)
 from .satcheck import Solver, SolverBudgetExceeded
-from .search import SearchConfig, find_base
+from .search import ALGORITHMS, SearchConfig, find_base
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -33,10 +33,6 @@ EXIT_PARSE = 2
 EXIT_STATIC_UNSAT = 10
 
 CLUSTER_BASE = 1.9745
-
-_COSTS = {"digits": CostKind.SUM_DIGITS, "carry": CostKind.SUM_CARRY,
-          "comp": CostKind.NUM_COMP}
-
 
 class UsageError(Exception):
     pass
@@ -52,10 +48,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _search_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cost", choices=sorted(_COSTS), default="digits",
+    p.add_argument("--cost", choices=sorted(k.value for k in CostKind),
+                   default="digits",
                    help="cost function to minimize (default digits)")
-    p.add_argument("--algo", choices=["dfs", "bnb", "hashbnb", "brute"],
-                   default="hashbnb")
+    p.add_argument("--algo", choices=list(ALGORITHMS), default="hashbnb")
     p.add_argument("--max-elem", type=int, default=10_000,
                    help="largest base element considered (default 10000)")
     p.add_argument("--primes-only", action=argparse.BooleanOptionalAction,
@@ -66,16 +62,10 @@ def _search_options(p: argparse.ArgumentParser) -> None:
                    help="base-search timeout in seconds (default 600)")
 
 
-def _primes_only(cost: str, chosen: bool | None) -> bool:
-    """Primes-only search unless chosen otherwise: on for digits, off for
-    carry and comp."""
-    return cost == "digits" if chosen is None else chosen
-
-
 def _search_config(args) -> SearchConfig:
-    return SearchConfig(kind=_COSTS[args.cost], max_elem=args.max_elem,
-                        primes_only=_primes_only(args.cost, args.primes_only),
-                        algorithm=args.algo, timeout=args.timeout)
+    return SearchConfig(kind=CostKind(args.cost), max_elem=args.max_elem,
+                        primes_only=args.primes_only, algorithm=args.algo,
+                        timeout=args.timeout)
 
 
 def _parse_multiset(text: str) -> Multiset:
@@ -380,13 +370,14 @@ def cmd_bench(args) -> int:
     configs = []
     for algo in args.algos.split(","):
         for cost in args.costs.split(","):
-            if cost not in _COSTS:
-                raise UsageError(f"unknown cost {cost!r}")
+            try:
+                kind = CostKind(cost)
+            except ValueError:
+                raise UsageError(f"unknown cost {cost!r}") from None
             for max_elem in (int(t) for t in args.max_elems.split(",")):
                 configs.append(SearchConfig(
-                    kind=_COSTS[cost], max_elem=max_elem,
-                    primes_only=_primes_only(cost, primes), algorithm=algo,
-                    timeout=args.timeout))
+                    kind=kind, max_elem=max_elem, primes_only=primes,
+                    algorithm=algo, timeout=args.timeout))
 
     # config-major: config i owns rows[i * n:(i + 1) * n]
     tasks = [(name, elems, cfg) for cfg in configs for name, elems in problems]

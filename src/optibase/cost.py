@@ -42,7 +42,23 @@ import numpy as np
 
 from .mixedradix import Multiset
 
-_SMALL_NETWORK_SIZES = (0, 0, 1, 3, 5, 9, 12, 16, 19)
+# Known optimal sorting networks up to 8 inputs, as exchange lists.
+OPTIMAL_NETWORKS: dict[int, tuple[tuple[int, int], ...]] = {
+    0: (),
+    1: (),
+    2: ((0, 1),),
+    3: ((0, 1), (0, 2), (1, 2)),
+    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
+    5: ((0, 1), (3, 4), (2, 4), (2, 3), (1, 4), (0, 3), (0, 2), (1, 3),
+        (1, 2)),
+    6: ((1, 2), (4, 5), (0, 2), (3, 5), (0, 1), (3, 4), (2, 5), (0, 3),
+        (1, 4), (2, 4), (1, 3), (2, 3)),
+    7: ((1, 2), (3, 4), (5, 6), (0, 2), (3, 5), (4, 6), (0, 1), (4, 5),
+        (2, 6), (0, 4), (1, 5), (0, 3), (2, 5), (1, 3), (2, 4), (2, 3)),
+    8: ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (1, 3), (4, 6), (5, 7),
+        (1, 2), (5, 6), (0, 4), (3, 7), (1, 5), (2, 6), (1, 4), (3, 6),
+        (2, 4), (3, 5), (3, 4)),
+}
 
 
 class CostKind(enum.Enum):
@@ -61,7 +77,7 @@ def comparator_count(n: int) -> int:
     if n < 0:
         raise ValueError("network size cannot be negative")
     if n <= 8:
-        return _SMALL_NETWORK_SIZES[n]
+        return len(OPTIMAL_NETWORKS[n])
     levels = (n - 1).bit_length()
     return n * levels * (levels - 1) // 4 + n - 1
 
@@ -73,7 +89,8 @@ def _bit_length(a: np.ndarray) -> np.ndarray:
     return np.frexp(a.astype(np.float64))[1]
 
 
-_SMALL_SIZES_ARR = np.array(_SMALL_NETWORK_SIZES, dtype=np.int64)
+_SMALL_SIZES_ARR = np.array([len(OPTIMAL_NETWORKS[n]) for n in range(9)],
+                            dtype=np.int64)
 
 
 def _comparator_count_vec(n: np.ndarray) -> np.ndarray:
@@ -153,14 +170,14 @@ class BaseEval:
         return int(self.suffix_counts[np.searchsorted(self.values, prod)])
 
     def cost(self, kind: CostKind) -> int:
-        if kind is CostKind.SUM_DIGITS:
-            return self.prefix_digits + self.msd_sum
-        if kind is CostKind.SUM_CARRY:
-            return (self.prefix_digits + self.prefix_carries
-                    + self.msd_sum + self.carry_in)
-        return self.prefix_comp + comparator_count(self.msd_sum + self.carry_in)
+        if kind is CostKind.NUM_COMP:
+            return self.partial(kind) + comparator_count(
+                self.msd_sum + self.carry_in)
+        return self.partial(kind) + self.msd_sum
 
     def partial(self, kind: CostKind) -> int:
+        """The cost every extension of the base pays: the one place each
+        kind's rule is written."""
         if kind is CostKind.SUM_DIGITS:
             return self.prefix_digits
         if kind is CostKind.SUM_CARRY:
@@ -204,20 +221,16 @@ class BaseEval:
         cols = self.msd_sum - ps * msd
         net_in = cols + self.carry_in
         carry_out = net_in // ps
+        # each child's partial, by the rule of ``partial``
+        part = self.partial(kind)
         if kind is CostKind.NUM_COMP:
-            part = self.prefix_comp + _comparator_count_vec(net_in)
-            cost = part + _comparator_count_vec(msd + carry_out)
-            return cost, part
-        if kind is CostKind.SUM_DIGITS:
-            part = self.prefix_digits + cols
-            cost = part + msd
-        else:
-            part = (self.prefix_digits + self.prefix_carries
-                    + cols + self.carry_in + carry_out)
-            cost = part + msd
+            part = part + _comparator_count_vec(net_in)
+            return part + _comparator_count_vec(msd + carry_out), part
+        part = part + cols
+        if kind is CostKind.SUM_CARRY:
+            part = part + carry_out
         idx = np.searchsorted(self.values, self.prod * ps, side="left")
-        alpha = part + self.suffix_counts[idx]
-        return cost, alpha
+        return part + msd, part + self.suffix_counts[idx]
 
 
 def cost_of(kind: CostKind, s: Multiset, base: Sequence[int]) -> int:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Container, Iterable, Sequence, Union
 
-from .cost import cost_of
+from .cost import OPTIMAL_NETWORKS, cost_of
 from .mixedradix import Multiset, digits_of
 from .search import SearchConfig, find_base, initial_best
 
@@ -208,22 +208,6 @@ def _or_many(lits: Sequence[Lit], bld: CnfBuilder) -> Lit:
     return v
 
 
-_OPTIMAL_NETWORKS: dict[int, tuple[tuple[int, int], ...]] = {
-    2: ((0, 1),),
-    3: ((0, 1), (0, 2), (1, 2)),
-    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
-    5: ((0, 1), (3, 4), (2, 4), (2, 3), (1, 4), (0, 3), (0, 2), (1, 3),
-        (1, 2)),
-    6: ((1, 2), (4, 5), (0, 2), (3, 5), (0, 1), (3, 4), (2, 5), (0, 3),
-        (1, 4), (2, 4), (1, 3), (2, 3)),
-    7: ((1, 2), (3, 4), (5, 6), (0, 2), (3, 5), (4, 6), (0, 1), (4, 5),
-        (2, 6), (0, 4), (1, 5), (0, 3), (2, 5), (1, 3), (2, 4), (2, 3)),
-    8: ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (1, 3), (4, 6), (5, 7),
-        (1, 2), (5, 6), (0, 4), (3, 7), (1, 5), (2, 6), (1, 4), (3, 6),
-        (2, 4), (3, 5), (3, 4)),
-}
-
-
 @lru_cache(maxsize=None)
 def _batcher_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """Odd-even mergesort exchange list for a power-of-two n."""
@@ -263,7 +247,7 @@ def sorting_network(inputs: Sequence[Lit], bld: CnfBuilder) -> UnaryBus:
         return tuple(inputs)
     wires = list(inputs)
     if n <= 8:
-        pairs = _OPTIMAL_NETWORKS[n]
+        pairs = OPTIMAL_NETWORKS[n]
     else:
         padded = 1 << (n - 1).bit_length()
         wires += [FALSE] * (padded - n)

@@ -86,14 +86,11 @@ def _tokens(text: str) -> list[tuple[str | None, int, int]]:
 
 
 def parse(text: str) -> tuple[list[RawConstraint], tuple | None]:
-    """Raw constraints plus the objective term list, if one is present.
-
-    One pass over the tokens; ``head`` is the first token of the statement
-    being read, None between statements."""
+    """Raw constraints plus the objective term list, if one is present."""
     constraints: list[RawConstraint] = []
     objective: tuple | None = None
     toks = _tokens(text)
-    i, head, terms = 0, None, []
+    i, head, terms = 0, None, []  # head: the statement's first token
     while True:
         tok, line, col = toks[i]
         if head is None:

@@ -36,15 +36,17 @@ _EMPTY = np.empty(0, dtype=np.int64)
 class SearchConfig:
     kind: CostKind
     max_elem: int = 10_000
-    primes_only: bool = True
+    primes_only: bool | None = None  # None: primes for digits only
     algorithm: str = "hashbnb"
     timeout: float | None = None
 
     def __post_init__(self):
         if self.max_elem < 2:
             raise ValueError("max_elem must be at least 2")
-        if self.algorithm not in ("dfs", "bnb", "hashbnb", "brute"):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.primes_only is None:
+            self.primes_only = self.kind is CostKind.SUM_DIGITS
 
 
 @dataclass
@@ -120,23 +122,15 @@ def _children(state: BaseEval, s: Multiset, cfg: SearchConfig, bound: int):
             len(ps) - len(keep))
 
 
-class _Timer:
-    def __init__(self, timeout: float | None):
-        self.t0 = time.monotonic()
-        self.timeout = timeout
-
-    def expired(self) -> bool:
-        return self.timeout is not None and time.monotonic() - self.t0 > self.timeout
-
-    def elapsed(self) -> float:
-        return time.monotonic() - self.t0
+def _expired(t0: float, timeout: float | None) -> bool:
+    return timeout is not None and time.monotonic() - t0 > timeout
 
 
 def dfs_hp(s: Multiset, cfg: SearchConfig) -> SearchResult:
     """Depth-first traversal with heuristic pruning: a child is cut when
     its cost underestimate already exceeds the best cost seen."""
     kind = cfg.kind
-    timer = _Timer(cfg.timeout)
+    t0 = time.monotonic()
     root = BaseEval.root(s)
     best_base, best_cost = _initial_candidates(root, kind)
     expanded = 0
@@ -145,7 +139,7 @@ def dfs_hp(s: Multiset, cfg: SearchConfig) -> SearchResult:
 
     def visit(state: BaseEval) -> None:
         nonlocal best_base, best_cost, expanded, pruned, timed_out
-        if timed_out or timer.expired():
+        if timed_out or _expired(t0, cfg.timeout):
             timed_out = True
             return
         expanded += 1
@@ -165,7 +159,7 @@ def dfs_hp(s: Multiset, cfg: SearchConfig) -> SearchResult:
 
     visit(root)
     return SearchResult(best_base, best_cost, expanded, pruned,
-                        timer.elapsed(), not timed_out, timed_out, "dfs")
+                        time.monotonic() - t0, not timed_out, timed_out, "dfs")
 
 
 class HashPriorityQueue:
@@ -222,7 +216,7 @@ def _queue_search(s: Multiset, cfg: SearchConfig, hashed: bool) -> SearchResult:
     never built.  The key (alpha, product, length, base) orders the queue
     and breaks every tie."""
     kind = cfg.kind
-    timer = _Timer(cfg.timeout)
+    t0 = time.monotonic()
     root = BaseEval.root(s)
     best_base, best_cost = _initial_candidates(root, kind)
     queue = HashPriorityQueue()
@@ -232,7 +226,7 @@ def _queue_search(s: Multiset, cfg: SearchConfig, hashed: bool) -> SearchResult:
     timed_out = False
 
     while len(queue) and queue.peek_alpha() < best_cost:
-        if timer.expired():
+        if _expired(t0, cfg.timeout):
             timed_out = True
             break
         parent, p = queue.pop_min()
@@ -256,7 +250,7 @@ def _queue_search(s: Multiset, cfg: SearchConfig, hashed: bool) -> SearchResult:
 
     guaranteed = not timed_out and (not hashed or kind is CostKind.SUM_DIGITS)
     return SearchResult(best_base, best_cost, expanded, pruned,
-                        timer.elapsed(), guaranteed, timed_out,
+                        time.monotonic() - t0, guaranteed, timed_out,
                         "hashbnb" if hashed else "bnb")
 
 
@@ -275,19 +269,14 @@ def hash_bnb(s: Multiset, cfg: SearchConfig) -> SearchResult:
     return _queue_search(s, cfg, hashed=True)
 
 
-def _guard_desk_scale(s: Multiset, what: str) -> None:
-    if s.max > BRUTE_FORCE_MAX:
-        raise ValueError(
-            f"{what} is limited to multisets with max <= {BRUTE_FORCE_MAX}, "
-            f"got {s.max}"
-        )
-
-
 def brute_force(s: Multiset, cfg: SearchConfig) -> SearchResult:
     """Exhaustive traversal of the configured base tree; no pruning."""
-    _guard_desk_scale(s, "brute-force search")
+    if s.max > BRUTE_FORCE_MAX:
+        raise ValueError(
+            f"brute-force search is limited to multisets with max <= "
+            f"{BRUTE_FORCE_MAX}, got {s.max}")
     kind = cfg.kind
-    timer = _Timer(cfg.timeout)
+    t0 = time.monotonic()
     root = BaseEval.root(s)
     best_base, best_cost = (), root.cost(kind)
     expanded = 0
@@ -295,7 +284,7 @@ def brute_force(s: Multiset, cfg: SearchConfig) -> SearchResult:
 
     def visit(state: BaseEval) -> None:
         nonlocal best_base, best_cost, expanded, timed_out
-        if timed_out or timer.expired():
+        if timed_out or _expired(t0, cfg.timeout):
             timed_out = True
             return
         expanded += 1
@@ -307,25 +296,13 @@ def brute_force(s: Multiset, cfg: SearchConfig) -> SearchResult:
 
     visit(root)
     return SearchResult(best_base, best_cost, expanded, 0,
-                        timer.elapsed(), not timed_out, timed_out, "brute")
+                        time.monotonic() - t0, not timed_out, timed_out, "brute")
 
 
-def count_bases(s: Multiset) -> int:
-    """Size of the full non-redundant base tree for S, by enumeration."""
-    _guard_desk_scale(s, "base counting")
-    top = s.max
-
-    def count(prod: int) -> int:
-        total = 1
-        for p in range(2, top // prod + 1):
-            total += count(prod * p)
-        return total
-
-    return count(1)
+ALGORITHMS = {"dfs": dfs_hp, "bnb": branch_and_bound,
+              "hashbnb": hash_bnb, "brute": brute_force}
 
 
 def find_base(s: Multiset, cfg: SearchConfig) -> SearchResult:
     """Run the configured algorithm."""
-    fn = {"dfs": dfs_hp, "bnb": branch_and_bound,
-          "hashbnb": hash_bnb, "brute": brute_force}[cfg.algorithm]
-    return fn(s, cfg)
+    return ALGORITHMS[cfg.algorithm](s, cfg)

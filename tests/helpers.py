@@ -100,6 +100,17 @@ def enumerate_bases(max_value: int, limit: int | None = None,
     return out
 
 
+def count_bases(s) -> int:
+    """Size of the full non-redundant base tree for multiset S: the bases
+    enumerate_bases(max(S)) lists, counted without building them."""
+    top = s.max
+
+    def count(prod: int) -> int:
+        return 1 + sum(count(prod * p) for p in range(2, top // prod + 1))
+
+    return count(1)
+
+
 def optimum_oracle(kind: str, elements, limit=None, primes=None) -> int:
     m = max(elements)
     return min(cost_oracle(kind, elements, b)

@@ -17,11 +17,11 @@ from optibase.encoder import (CnfBuilder, PbConstraint, decompose,
 from optibase.mixedradix import Multiset, digits_of
 from optibase.satcheck import Solver
 from optibase.search import (HashPriorityQueue, SearchConfig, branch_and_bound,
-                             brute_force, count_bases, dfs_hp, hash_bnb,
-                             initial_best)
+                             brute_force, dfs_hp, hash_bnb, initial_best)
 
-from helpers import (breakdown_oracle, constraint_value, emitted_columns,
-                     engine_columns, heuristic_oracle, partial_oracle)
+from helpers import (breakdown_oracle, constraint_value, count_bases,
+                     emitted_columns, engine_columns, heuristic_oracle,
+                     partial_oracle)
 
 KINDS = (CostKind.SUM_DIGITS, CostKind.SUM_CARRY, CostKind.NUM_COMP)
 DIGITS, CARRY, COMP = KINDS

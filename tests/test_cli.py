@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -9,9 +10,9 @@ import tempfile
 
 import pytest
 
-from optibase import encoder
-from optibase.cli import cluster_key, main
-from optibase.search import find_base
+from optibase import CostKind, encoder
+from optibase.cli import build_parser, cluster_key, main
+from optibase.search import ALGORITHMS, find_base
 
 PSI_OPB = "+2 x1 +2 x2 +2 x3 +2 x4 +5 x5 +18 x6 >= 23 ;\n"
 
@@ -523,6 +524,28 @@ def test_bench_config_errors_exit_1(capsys, tmp_path):
         code, _, err = run(capsys, "bench", "--opb-dir", str(empty), *flags,
                            "--out", str(tmp_path / "r.csv"))
         assert code == 1 and "error:" in err, flags
+
+
+def test_bench_primes_auto_follows_the_cost(capsys, tmp_path):
+    out_csv = tmp_path / "r.csv"
+    code, _, _ = run(capsys, "bench", "--gen", "2", "--gen-max", "30",
+                     "--costs", "carry,digits", "--primes", "auto",
+                     "--out", str(out_csv))
+    assert code == 0
+    cells = {(r["cost"], r["primes"]) for r in _read_csv(out_csv.read_text())}
+    assert cells == {("carry", "0"), ("digits", "1")}
+
+
+def test_cost_and_algo_names_come_from_the_library(capsys, tmp_path):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in ("find-base", "encode", "solve"):
+        opts = {a.dest: a for a in sub.choices[command]._actions}
+        assert sorted(opts["cost"].choices) == sorted(k.value for k in CostKind)
+        assert opts["algo"].choices == list(ALGORITHMS)
+    code, _, err = run(capsys, "bench", "--gen", "2", "--costs", "foo",
+                       "--out", str(tmp_path / "r.csv"))
+    assert code == 1 and err == "usage error: unknown cost 'foo'\n"
 
 
 def test_bench_opb_dir_and_amplify(capsys, tmp_path):

@@ -6,11 +6,12 @@ import pytest
 
 from optibase.cost import BaseEval, CostKind, cost_of
 from optibase.mixedradix import Multiset
-from optibase.search import (HashPriorityQueue, SearchConfig, branch_and_bound,
-                             brute_force, count_bases, dfs_hp, extenders,
+from optibase.search import (ALGORITHMS, HashPriorityQueue, SearchConfig,
+                             branch_and_bound, brute_force, dfs_hp, extenders,
                              find_base, hash_bnb, initial_best, primes_up_to)
 
-from helpers import cost_oracle, enumerate_bases, optimum_oracle, sieve_set
+from helpers import (cost_oracle, count_bases, enumerate_bases, optimum_oracle,
+                     sieve_set)
 
 KINDS = {"digits": CostKind.SUM_DIGITS, "carry": CostKind.SUM_CARRY,
          "comp": CostKind.NUM_COMP}
@@ -96,8 +97,6 @@ def test_brute_force_examples():
 def test_brute_force_guard():
     with pytest.raises(ValueError, match="max <= 10000"):
         brute_force(Multiset.of([10_001]), cfg_for())
-    with pytest.raises(ValueError, match="max <= 10000"):
-        count_bases(Multiset.of([10_001]))
 
 
 def test_count_bases():
@@ -271,6 +270,17 @@ def test_find_base_dispatch_and_determinism():
         assert (r1.best_base, r1.best_cost, r1.nodes_expanded, r1.nodes_pruned) \
             == (r2.best_base, r2.best_cost, r2.nodes_expanded, r2.nodes_pruned)
         assert r1.best_cost == cost_of(cfg.kind, s, r1.best_base)
+
+
+def test_search_config_primes_default_follows_the_cost():
+    # None, the default, means primes for digits only; a choice stands
+    for kind in CostKind:
+        assert SearchConfig(kind=kind).primes_only is (kind is CostKind.SUM_DIGITS)
+        for chosen in (True, False):
+            assert SearchConfig(kind=kind, primes_only=chosen).primes_only is chosen
+    assert set(ALGORITHMS) == {"dfs", "bnb", "hashbnb", "brute"}
+    with pytest.raises(ValueError, match="unknown algorithm 'nope'"):
+        SearchConfig(kind=CostKind.SUM_DIGITS, algorithm="nope")
 
 
 def test_timeout_returns_best_so_far():
