@@ -7,7 +7,6 @@ from .encoder import (CnfBuilder, PbConstraint, encode_constraint,
 from .mixedradix import Multiset, digits_of, weights
 from .opb import OpbParseError, load_instance
 from .satcheck import Solver, SolverBudgetExceeded
-from .search import (SearchConfig, branch_and_bound, brute_force, dfs_hp,
-                     find_base, hash_bnb)
+from .search import SearchConfig, find_base
 
 __version__ = "0.1.0"

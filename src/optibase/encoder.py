@@ -275,8 +275,7 @@ def decompose(c: PbConstraint, base: Sequence[int]) -> list[UnaryBus]:
 
 
 def normalizer(sorted_bus: UnaryBus, radix: int, bld: CnfBuilder,
-               lines: Container[int] | None = None
-               ) -> tuple[UnaryBus, tuple[Lit, ...]]:
+               lines: Container[int]) -> tuple[UnaryBus, tuple[Lit, ...]]:
     """Split a sorted bus into its value modulo ``radix`` and the carries.
 
     Every radix-th output is a carry.  The remainder bus R has
@@ -284,15 +283,15 @@ def normalizer(sorted_bus: UnaryBus, radix: int, bld: CnfBuilder,
     the bus value modulo radix is at least i, realized as the disjunction
     over t of (value >= t*radix + i) and not (value >= (t+1)*radix).  The
     lines R_i for m < i < radix would be constant FALSE and are left out.
-    Given ``lines``, only the R_i with i in it are built; the others hold
-    None, which no comparison may read.
+    Only the R_i with i in ``lines`` are built; the others hold None, which
+    no comparison may read.
     """
     m = len(sorted_bus)
     r = radix
     carries = tuple(sorted_bus[t * r - 1] for t in range(1, m // r + 1))
     remainder: list[Lit | None] = []
     for i in range(1, min(r, m + 1)):
-        if lines is not None and i not in lines:
+        if i not in lines:
             remainder.append(None)
             continue
         windows: list[Lit] = []

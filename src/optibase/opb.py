@@ -70,7 +70,7 @@ class PbInstance:
 
 
 _TOKEN = re.compile(r"\S+")
-_VAR = re.compile(r"~?x\d+$")
+_VAR = re.compile(r"~?x[0-9]+$")
 
 
 def _tokens(text: str) -> list[tuple[str | None, int, int]]:
@@ -135,7 +135,7 @@ def _parse_int(tok, line, col) -> int:
     if tok is None:
         raise OpbParseError("unexpected end of input", line, col)
     body = tok[1:] if tok[0] in "+-" else tok
-    if not body.isdigit():
+    if not (body.isascii() and body.isdigit()):
         raise OpbParseError(f"expected an integer, got {tok!r}", line, col)
     return int(tok)
 

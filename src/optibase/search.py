@@ -1,11 +1,14 @@
-"""Search for a minimum-cost base: pruned depth-first search, best-first
-branch and bound, and branch and bound over a product-hashed frontier.
+"""Search for a minimum-cost base.  ``find_base(s, cfg)`` is the one entry
+point, and ``cfg.algorithm`` names the way: pruned depth-first search
+("dfs"), best-first branch and bound ("bnb"), branch and bound keeping one
+frontier base per product ("hashbnb"), or exhaustive traversal ("brute"),
+the ground-truth oracle.  bnb and hashbnb share one frontier: a heap of
+unbuilt children and a dict from each slot to the key resident in it.
 
 The search space is the tree of non-redundant bases for a multiset S: the
 root is the empty base and a node B has one child B+(p,) for every
 extender p with product(B) * p <= max(S), optionally restricted to primes
-and to elements no larger than a configured limit.  An exhaustive
-traversal of the same tree serves as the ground-truth oracle.
+and to elements no larger than a configured limit.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ class SearchConfig:
     kind: CostKind
     max_elem: int = 10_000
     primes_only: bool | None = None  # None: primes for digits only
-    algorithm: str = "hashbnb"
+    algorithm: str = "hashbnb"  # a key of ALGORITHMS: dfs, bnb, hashbnb, brute
     timeout: float | None = None
 
     def __post_init__(self):
@@ -126,7 +129,7 @@ def _expired(t0: float, timeout: float | None) -> bool:
     return timeout is not None and time.monotonic() - t0 > timeout
 
 
-def dfs_hp(s: Multiset, cfg: SearchConfig) -> SearchResult:
+def _dfs(s: Multiset, cfg: SearchConfig) -> SearchResult:
     """Depth-first traversal with heuristic pruning: a child is cut when
     its cost underestimate already exceeds the best cost seen."""
     kind = cfg.kind
@@ -162,74 +165,34 @@ def dfs_hp(s: Multiset, cfg: SearchConfig) -> SearchResult:
                         time.monotonic() - t0, not timed_out, timed_out, "dfs")
 
 
-class HashPriorityQueue:
-    """Min priority queue of (key, state) holding at most one resident
-    entry per slot, a hashable value the caller supplies with each push.
-
-    Pushing into an occupied slot keeps whichever of the two entries has
-    the smaller cost underestimate key[0] (ties keep the resident); the
-    loser is dropped, or tombstoned if it was already on the heap.
-    """
-
-    def __init__(self):
-        self._heap: list[list] = []
-        self._by_slot: dict = {}
-        self._size = 0
-
-    def __len__(self):
-        return self._size
-
-    def push(self, key, state, slot) -> bool:
-        resident = self._by_slot.get(slot)
-        if resident is not None:
-            if resident[0][0] <= key[0]:
-                return False
-            resident[2] = False  # lazy deletion
-            self._size -= 1
-        entry = [key, state, True, slot]
-        self._by_slot[slot] = entry
-        heappush(self._heap, entry)
-        self._size += 1
-        return True
-
-    def _clean(self):
-        while self._heap and not self._heap[0][2]:
-            heappop(self._heap)
-
-    def peek_alpha(self) -> int:
-        self._clean()
-        return self._heap[0][0][0]
-
-    def pop_min(self):
-        self._clean()
-        entry = heappop(self._heap)
-        entry[2] = False
-        self._size -= 1
-        del self._by_slot[entry[3]]
-        return entry[1]
-
-
-def _queue_search(s: Multiset, cfg: SearchConfig, hashed: bool) -> SearchResult:
-    """Best-first search whose queue holds children unbuilt: an entry's
-    state is (parent, p), and ``parent.extend(p)`` runs only on pop, so
-    children that are dropped, tombstoned or left behind by the bound are
-    never built.  The key (alpha, product, length, base) orders the queue
-    and breaks every tie."""
+def _queue_search(s: Multiset, cfg: SearchConfig) -> SearchResult:
+    """Best-first branch and bound over a heap of (key, parent, p), where
+    the child ``parent.extend(p)`` is built only on pop.  The key (alpha,
+    product, length, base) orders the heap and is unique.  Each slot, the
+    product under hashbnb and the base under bnb, holds one resident key: a
+    push loses to a resident of no larger alpha, and a popped entry that is
+    no longer resident is skipped.  hashbnb is optimal for digits only."""
     kind = cfg.kind
+    hashed = cfg.algorithm == "hashbnb"
     t0 = time.monotonic()
     root = BaseEval.root(s)
     best_base, best_cost = _initial_candidates(root, kind)
-    queue = HashPriorityQueue()
-    queue.push((root.alpha(kind), 1, 0, ()), (root, None), 1 if hashed else ())
+    root_key = (root.alpha(kind), 1, 0, ())
+    heap = [(root_key, root, None)]
+    resident = {1 if hashed else (): root_key}
     expanded = 0
     pruned = 0
     timed_out = False
 
-    while len(queue) and queue.peek_alpha() < best_cost:
+    while heap and heap[0][0][0] < best_cost:
+        key, parent, p = heappop(heap)
+        slot = key[1] if hashed else key[3]
+        if resident.get(slot) is not key:
+            continue
+        del resident[slot]
         if _expired(t0, cfg.timeout):
             timed_out = True
             break
-        parent, p = queue.pop_min()
         state = parent if p is None else parent.extend(p)
         expanded += 1
         children, cut = _children(state, s, cfg, best_cost)
@@ -241,35 +204,24 @@ def _queue_search(s: Multiset, cfg: SearchConfig, hashed: bool) -> SearchResult:
                 continue
             child_base = base + (p,)
             child_prod = prod * p
-            key = (alpha, child_prod, length, child_base)
             slot = child_prod if hashed else child_base
-            if not queue.push(key, (state, p), slot):
+            old = resident.get(slot)
+            if old is not None and old[0] <= alpha:
                 pruned += 1
+            else:
+                key = (alpha, child_prod, length, child_base)
+                resident[slot] = key
+                heappush(heap, (key, state, p))
             if cost < best_cost:
                 best_base, best_cost = child_base, cost
 
     guaranteed = not timed_out and (not hashed or kind is CostKind.SUM_DIGITS)
     return SearchResult(best_base, best_cost, expanded, pruned,
                         time.monotonic() - t0, guaranteed, timed_out,
-                        "hashbnb" if hashed else "bnb")
+                        cfg.algorithm)
 
 
-def branch_and_bound(s: Multiset, cfg: SearchConfig) -> SearchResult:
-    """Best-first branch and bound; every base has a queue slot of its own,
-    so no push is ever dropped."""
-    return _queue_search(s, cfg, hashed=False)
-
-
-def hash_bnb(s: Multiset, cfg: SearchConfig) -> SearchResult:
-    """Branch and bound keeping one frontier base per product value.
-
-    Guaranteed optimal for the digit-count cost; for the other costs the
-    result is reported with optimal_guaranteed=False.
-    """
-    return _queue_search(s, cfg, hashed=True)
-
-
-def brute_force(s: Multiset, cfg: SearchConfig) -> SearchResult:
+def _brute_force(s: Multiset, cfg: SearchConfig) -> SearchResult:
     """Exhaustive traversal of the configured base tree; no pruning."""
     if s.max > BRUTE_FORCE_MAX:
         raise ValueError(
@@ -299,8 +251,8 @@ def brute_force(s: Multiset, cfg: SearchConfig) -> SearchResult:
                         time.monotonic() - t0, not timed_out, timed_out, "brute")
 
 
-ALGORITHMS = {"dfs": dfs_hp, "bnb": branch_and_bound,
-              "hashbnb": hash_bnb, "brute": brute_force}
+ALGORITHMS = {"dfs": _dfs, "bnb": _queue_search,
+              "hashbnb": _queue_search, "brute": _brute_force}
 
 
 def find_base(s: Multiset, cfg: SearchConfig) -> SearchResult:

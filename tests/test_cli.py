@@ -209,6 +209,15 @@ def test_encode_parse_error_exit_code(capsys, tmp_path):
     assert "parse error" in err
 
 
+def test_encode_non_ascii_digit_is_parse_error(capsys, tmp_path):
+    # str.isdigit() accepts a superscript two that int() then rejects
+    src = tmp_path / "superscript.opb"
+    src.write_text("+\u00b2 x1 >= 1 ;\n")
+    code, _, err = run(capsys, "encode", str(src), "-o", str(tmp_path / "x.cnf"))
+    assert code == 2
+    assert err.startswith("parse error: line 1, column 1: ")
+
+
 def test_encode_missing_file_is_tool_error(capsys, tmp_path):
     code, _, err = run(capsys, "encode", str(tmp_path / "nope.opb"),
                        "-o", str(tmp_path / "x.cnf"))

@@ -116,24 +116,24 @@ def test_normalizer_shapes():
     # a 6-output network normalized by 3: carries y3, y6 and two remainder lines
     bld = CnfBuilder(6)
     bus = tuple(range(1, 7))
-    rem, carries = normalizer(bus, 3, bld)
+    rem, carries = normalizer(bus, 3, bld, range(1, 3))
     assert carries == (3, 6)
     assert len(rem) == 2
     # shorter than the radix: the identity, no clauses
     bld = CnfBuilder(2)
-    rem, carries = normalizer((1, 2), 5, bld)
+    rem, carries = normalizer((1, 2), 5, bld, range(1, 5))
     assert carries == ()
     assert rem == (1, 2)
     assert not bld.clauses
     # exactly the radix: one carry, remainder gated by its negation
     bld = CnfBuilder(3)
-    rem, carries = normalizer((1, 2, 3), 3, bld)
+    rem, carries = normalizer((1, 2, 3), 3, bld, range(1, 3))
     assert carries == (3,)
     assert len(rem) == 2 and len(bld.clauses) == 6
     # a radix far past the bus: remainder lines beyond the bus would be
     # constant FALSE, so the work is bounded by the bus, not the radix
     bld = CnfBuilder(3)
-    rem, carries = normalizer((1, 2, 3), 10**6, bld)
+    rem, carries = normalizer((1, 2, 3), 10**6, bld, range(1, 10**6))
     assert rem == (1, 2, 3) and carries == ()
     assert not bld.clauses and bld.num_vars == 3
 
@@ -144,7 +144,7 @@ def test_normalizer_semantics_exhaustive(m, r):
     # feed every sorted input pattern through a real network + normalizer
     bld = CnfBuilder(m)
     sorted_bus = sorting_network(tuple(range(1, m + 1)), bld)
-    rem, carries = normalizer(sorted_bus, r, bld)
+    rem, carries = normalizer(sorted_bus, r, bld, range(1, r))
     assert len(rem) == min(r - 1, m)
     assert len(carries) == m // r
     solver = Solver(bld.clauses, bld.num_vars)
@@ -292,7 +292,8 @@ def test_sortedness_of_all_buses_in_models():
             sorted_bus = sorting_network(buses[j] + carries, bld)
             out_buses.append(sorted_bus)
             if j < len(base):
-                rem, carries = normalizer(sorted_bus, base[j], bld)
+                rem, carries = normalizer(sorted_bus, base[j], bld,
+                                           range(1, base[j]))
                 out_buses.append(rem)
         solver = Solver(bld.clauses, bld.num_vars)
         for bits in itertools.product([False, True], repeat=len(ids)):

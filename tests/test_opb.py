@@ -65,6 +65,9 @@ def test_parse_errors_carry_location():
     ("+1 x1 >= 1 ;\n+1 x1 ;\n", "constraint without relation", 2, 7),
     ("+2 y9 >= 1 ;\n", "expected a variable, got 'y9'", 1, 4),
     ("+1 x1 >= 1 ;\n+2", "expected a variable, got None", -1, -1),
+    # str.isdigit and \d accept non-ASCII digits; OPB integers do not
+    ("+\u00b2 x1 >= 1 ;\n", "expected an integer, got '+\u00b2'", 1, 1),
+    ("+1 x\u0661 >= 1 ;\n", "expected a variable, got 'x\u0661'", 1, 4),
 ])
 def test_parse_error_kinds(text, message, line, col):
     with pytest.raises(OpbParseError) as e:

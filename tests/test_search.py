@@ -6,9 +6,8 @@ import pytest
 
 from optibase.cost import BaseEval, CostKind, cost_of
 from optibase.mixedradix import Multiset
-from optibase.search import (ALGORITHMS, HashPriorityQueue, SearchConfig,
-                             branch_and_bound, brute_force, dfs_hp, extenders,
-                             find_base, hash_bnb, initial_best, primes_up_to)
+from optibase.search import (ALGORITHMS, SearchConfig, extenders, find_base,
+                             initial_best, primes_up_to)
 
 from helpers import (cost_oracle, count_bases, enumerate_bases, optimum_oracle,
                      sieve_set)
@@ -51,12 +50,13 @@ def test_initial_best_examples():
 
 
 def test_dfs_examples():
-    r = dfs_hp(Multiset.of([16, 30, 54, 60]), cfg_for(max_elem=60, primes=False))
-    assert r.best_cost == 9
-    r = dfs_hp(Multiset.of([1]), cfg_for(primes=False, max_elem=2))
+    r = find_base(Multiset.of([16, 30, 54, 60]),
+                  cfg_for(max_elem=60, primes=False, algo="dfs"))
+    assert r.best_cost == 9 and r.algorithm == "dfs"
+    r = find_base(Multiset.of([1]), cfg_for(primes=False, max_elem=2, algo="dfs"))
     assert r.best_base == () and r.best_cost == 1
-    r = dfs_hp(Multiset.of([1, 3, 4, 8, 18, 18]),
-               cfg_for("carry", max_elem=18, primes=True))
+    r = find_base(Multiset.of([1, 3, 4, 8, 18, 18]),
+                  cfg_for("carry", max_elem=18, primes=True, algo="dfs"))
     assert r.best_cost == 11
 
 
@@ -67,36 +67,39 @@ def test_bnb_matches_dfs_on_examples():
         ([1, 3, 4, 8, 18, 18], "carry", True),
     ):
         s = Multiset.of(elems)
-        a = dfs_hp(s, cfg_for(kind, max_elem=s.max + 1, primes=primes))
-        b = branch_and_bound(s, cfg_for(kind, max_elem=s.max + 1, primes=primes))
+        a, b = (find_base(s, cfg_for(kind, max_elem=s.max + 1, primes=primes,
+                                     algo=algo)) for algo in ("dfs", "bnb"))
         assert a.best_cost == b.best_cost
 
 
 def test_hash_bnb_examples():
-    r = hash_bnb(Multiset.of([16, 30, 54, 60]), cfg_for(max_elem=60, primes=True))
+    r = find_base(Multiset.of([16, 30, 54, 60]), cfg_for(max_elem=60, primes=True))
     assert r.best_cost == 9 and r.optimal_guaranteed
-    r = hash_bnb(Multiset.of([2, 2, 2, 2, 5, 18]),
-                 cfg_for("carry", max_elem=18, primes=False))
+    assert r.algorithm == "hashbnb"
+    r = find_base(Multiset.of([2, 2, 2, 2, 5, 18]),
+                  cfg_for("carry", max_elem=18, primes=False))
     assert r.best_cost == 8
     assert not r.optimal_guaranteed  # only the digit cost carries the guarantee
     assert cost_of(CostKind.SUM_CARRY, Multiset.of([2, 2, 2, 2, 5, 18]),
                    (2, 9)) == 8
-    r = hash_bnb(Multiset.of([1]), cfg_for(primes=False, max_elem=2))
+    r = find_base(Multiset.of([1]), cfg_for(primes=False, max_elem=2))
     assert r.best_base == ()
 
 
 def test_brute_force_examples():
-    s = Multiset.of([16, 30, 54, 60])
-    assert brute_force(s, cfg_for(max_elem=60, primes=False)).best_cost == 9
-    r = brute_force(Multiset.of([1, 3, 4, 8, 18, 18]),
-                    cfg_for("comp", max_elem=18, primes=False))
-    assert r.best_cost == 10
-    assert brute_force(Multiset.of([1]), cfg_for(primes=False, max_elem=2)).best_cost == 1
+    def brute(s, kind="digits", **kw):
+        return find_base(s, cfg_for(kind, primes=False, algo="brute", **kw))
+
+    r = brute(Multiset.of([16, 30, 54, 60]), max_elem=60)
+    assert r.best_cost == 9 and r.algorithm == "brute"
+    assert brute(Multiset.of([1, 3, 4, 8, 18, 18]), "comp",
+                 max_elem=18).best_cost == 10
+    assert brute(Multiset.of([1]), max_elem=2).best_cost == 1
 
 
 def test_brute_force_guard():
     with pytest.raises(ValueError, match="max <= 10000"):
-        brute_force(Multiset.of([10_001]), cfg_for())
+        find_base(Multiset.of([10_001]), cfg_for(algo="brute"))
 
 
 def test_count_bases():
@@ -112,8 +115,8 @@ def test_count_bases():
 def test_empty_base_can_win_under_carry():
     # extending (1,1,1,1,2) by 2 adds more carries than it saves
     s = Multiset.of([1, 1, 1, 1, 2])
-    for algo in (dfs_hp, branch_and_bound, hash_bnb, brute_force):
-        r = algo(s, cfg_for("carry", max_elem=2, primes=False))
+    for algo in ALGORITHMS:
+        r = find_base(s, cfg_for("carry", max_elem=2, primes=False, algo=algo))
         assert r.best_base == () and r.best_cost == 6
 
 
@@ -126,14 +129,12 @@ def test_oracle_agreement_small():
         prime_set = sieve_set(s.max) if primes else None
         for kind in ("digits", "carry", "comp"):
             want = optimum_oracle(kind, s.elements, primes=prime_set)
-            cfg = cfg_for(kind, max_elem=s.max + 1, primes=primes)
-            got = {
-                "dfs": dfs_hp(s, cfg).best_cost,
-                "bnb": branch_and_bound(s, cfg).best_cost,
-                "brute": brute_force(s, cfg).best_cost,
-            }
+            got = {algo: find_base(s, cfg_for(kind, max_elem=s.max + 1,
+                                              primes=primes, algo=algo)
+                                   ).best_cost
+                   for algo in ALGORITHMS}
+            hashed = got.pop("hashbnb")
             assert got == {k: want for k in got}, (elems, kind, primes, got, want)
-            hashed = hash_bnb(s, cfg).best_cost
             if kind == "digits":
                 assert hashed == want, (elems, primes)
             elif hashed != want:
@@ -146,15 +147,17 @@ def test_prime_optimum_matches_integer_optimum_for_digits():
     for _ in range(40):
         elems = [rng.randint(1, 150) for _ in range(rng.randint(1, 5))]
         s = Multiset.of(elems)
-        a = brute_force(s, cfg_for("digits", max_elem=s.max + 1, primes=False))
-        b = brute_force(s, cfg_for("digits", max_elem=s.max + 1, primes=True))
+        a, b = (find_base(s, cfg_for("digits", max_elem=s.max + 1,
+                                     primes=primes, algo="brute"))
+                for primes in (False, True))
         assert a.best_cost == b.best_cost
 
 
 def test_carry_needs_non_primes():
     s = Multiset.of([2, 2, 2, 2, 5, 18])
-    allint = brute_force(s, cfg_for("carry", max_elem=18, primes=False))
-    primes = brute_force(s, cfg_for("carry", max_elem=18, primes=True))
+    allint, primes = (find_base(s, cfg_for("carry", max_elem=18, primes=p,
+                                           algo="brute"))
+                      for p in (False, True))
     assert allint.best_cost == 8 < primes.best_cost == 10
 
 
@@ -229,39 +232,6 @@ def test_extension_order_scan_for_other_costs():
     print(f"extension-order flips found (carry/comp): {found}")
 
 
-def test_queue_discipline():
-    # reference model: product -> resident key with the minimal alpha ever
-    # pushed for that product and not yet popped
-    rng = random.Random(24)
-    seq = 0
-    for _ in range(500):
-        queue = HashPriorityQueue()
-        model: dict[int, tuple] = {}
-        for _ in range(rng.randint(1, 40)):
-            if model and rng.random() < 0.3:
-                want = min(model.values())
-                assert queue.peek_alpha() == want[0]
-                assert queue.pop_min() == want
-                del model[want[1]]
-                continue
-            alpha = rng.randint(0, 20)
-            prod = rng.randint(1, 8)
-            key = (alpha, prod, seq, (seq,))
-            seq += 1
-            if prod not in model or alpha < model[prod][0]:
-                model[prod] = key
-                assert queue.push(key, key, prod) is True
-            else:
-                assert queue.push(key, key, prod) is False
-            assert len(queue) == len(model)
-        while model:
-            want = min(model.values())
-            assert queue.peek_alpha() == want[0]
-            assert queue.pop_min() == want
-            del model[want[1]]
-        assert len(queue) == 0
-
-
 def test_find_base_dispatch_and_determinism():
     s = Multiset.of([16, 30, 54, 60])
     for algo in ("dfs", "bnb", "hashbnb", "brute"):
@@ -286,9 +256,9 @@ def test_search_config_primes_default_follows_the_cost():
 def test_timeout_returns_best_so_far():
     rng = random.Random(17)
     s = Multiset.of([rng.randint(1, 2**31 - 1) for _ in range(8)])
-    cfg = cfg_for("carry", max_elem=10_000, primes=True, timeout=0.02)
-    for algo in (dfs_hp, branch_and_bound, hash_bnb):
-        r = algo(s, cfg)
+    for algo in ("dfs", "bnb", "hashbnb"):
+        r = find_base(s, cfg_for("carry", max_elem=10_000, primes=True,
+                                 algo=algo, timeout=0.02))
         assert r.timed_out and not r.optimal_guaranteed
         assert r.best_cost == cost_of(CostKind.SUM_CARRY, s, r.best_base)
         assert r.elapsed < 5.0
@@ -301,7 +271,7 @@ def test_pruned_plus_expanded_accounts_for_brute_tree():
         elems = [rng.randint(1, 80) for _ in range(rng.randint(1, 4))]
         s = Multiset.of(elems)
         cfg = cfg_for("digits", max_elem=s.max + 1, primes=False, algo="brute")
-        total = brute_force(s, cfg).nodes_expanded
+        total = find_base(s, cfg).nodes_expanded
         assert total == count_bases(s)
 
 
