@@ -467,6 +467,24 @@ def test_encode_instance_readers_name_the_network_they_read():
         assert sum(st.clauses for st in stats) == len(cnf.clauses)
 
 
+def test_encode_instance_equality_halves_share_remainder_lines():
+    # the second half of each = reads the first half's network, and the
+    # remainder lines both comparisons read are built once
+    rng = random.Random(7)
+    cfg = SearchConfig(kind=CostKind.SUM_CARRY, max_elem=50, primes_only=False)
+    clauses = num_vars = 0
+    for _ in range(40):
+        coefs = [rng.randint(1, 60) for _ in range(rng.randint(4, 9))]
+        rhs = rng.randint(1, sum(coefs) - 1)
+        inst = load_instance(" ".join(f"+{c} x{i}" for i, c in enumerate(coefs, 1))
+                             + f" = {rhs} ;\n")
+        cnf, stats = encode_instance(inst.constraints, len(inst.names), cfg)
+        assert [st.network_of for st in stats] == [None, 0]
+        clauses += len(cnf.clauses)
+        num_vars += cnf.num_vars
+    assert clauses <= 11_598 and num_vars <= 4_123
+
+
 def test_encode_instance_without_fallback_keeps_best_so_far(monkeypatch):
     cfg = SearchConfig(kind=CostKind.SUM_CARRY, max_elem=50,
                        primes_only=False, timeout=1e-9)
