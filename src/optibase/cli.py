@@ -15,7 +15,6 @@ import random
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -321,9 +320,8 @@ def _config_cells(cfg: SearchConfig) -> dict:
             "max_elem": cfg.max_elem, "primes": int(cfg.primes_only)}
 
 
-def _bench_one(task):
-    """Worker for one (problem, config) cell; returns a CSV row."""
-    name, elems, cfg = task
+def _bench_one(name, elems, cfg):
+    """One (problem, config) cell; returns a CSV row."""
     row = {
         "row_type": "result", "problem": name, "n": len(elems),
         "max_coeff": max(elems), "cluster": cluster_key(max(elems)),
@@ -380,12 +378,7 @@ def cmd_bench(args) -> int:
                     algorithm=algo, timeout=args.timeout))
 
     # config-major: config i owns rows[i * n:(i + 1) * n]
-    tasks = [(name, elems, cfg) for cfg in configs for name, elems in problems]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bench_one, tasks))
-    else:
-        rows = [_bench_one(t) for t in tasks]
+    rows = [_bench_one(name, elems, cfg) for cfg in configs for name, elems in problems]
 
     # cluster-averaged aggregates per configuration, in config order
     n = len(problems)
@@ -458,7 +451,6 @@ def build_parser() -> _Parser:
     p.add_argument("--primes", choices=["auto", "on", "off"], default="auto")
     p.add_argument("--timeout", type=float, default=600.0,
                    help="per-search timeout (default 600)")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="-", help="CSV path or - for stdout")
     p.add_argument("--amplify-31", action="store_true",
                    help="bench scaled copies with coefficients times 31^i, i=0..5")

@@ -6,12 +6,14 @@ four steps: the coefficients are decomposed into per-position digit buses,
 each bus is sorted into a unary number, a normalizer reduces each sorted
 bus modulo its radix and forwards every radix-th output as a carry into
 the next position, and finally the resulting mixed radix number is
-compared lexicographically against the threshold.  The normalizers build
-only the remainder lines that comparison reads: R_d and, above the
-lowest nonzero threshold digit, R_{d+1} for threshold digit d.
+compared lexicographically against the threshold.  Each comparison
+builds only the remainder lines it reads: R_d and, above the lowest
+nonzero threshold digit, R_{d+1} for threshold digit d.  The builder
+keeps one output per distinct and/or gate, so comparisons on one network
+share the lines they both read.
 
 Within one instance, constraints over the same term vector and base read
-one network, each through its own comparison.  A constraint over the
+one sorter network, each through its own comparison.  A constraint over the
 complemented vector, sum c*~l >= T as the second half of every ``=``
 is, says not (sum c*l >= sum c - T + 1), so it asserts the negated
 comparison on the same network.  That reading is sound only under full
@@ -25,7 +27,6 @@ fold away structurally and never reach an emitted clause.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Container, Iterable, Sequence, Union
@@ -111,6 +112,7 @@ class CnfBuilder:
         self.clauses: list[list[int]] = []
         self.comparators = 0
         self.network_sizes: list[int] = []
+        self.gates: dict[tuple, int] = {}  # and/or gate inputs -> its output
         self.polarity = polarity
 
     def fresh(self) -> int:
@@ -173,8 +175,8 @@ def comparator(a: Lit, b: Lit, bld: CnfBuilder) -> tuple[Lit, Lit]:
 
 
 def _and2(a: Lit, b: Lit, bld: CnfBuilder) -> Lit:
-    """Fresh literal equivalent to a and b, folding constants and
-    duplicate or complementary inputs."""
+    """Literal equivalent to a and b, folding constants and duplicate or
+    complementary inputs; fresh unless the builder holds the gate."""
     if a is FALSE or b is FALSE:
         return FALSE
     if a is TRUE:
@@ -185,7 +187,10 @@ def _and2(a: Lit, b: Lit, bld: CnfBuilder) -> Lit:
         return a
     if a == -b:
         return FALSE
-    v = bld.fresh()
+    key = ("and", min(a, b), max(a, b))
+    if key in bld.gates:
+        return bld.gates[key]
+    v = bld.gates[key] = bld.fresh()
     bld.add_clause([-v, a])
     bld.add_clause([-v, b])
     bld.add_clause([-a, -b, v])
@@ -193,7 +198,7 @@ def _and2(a: Lit, b: Lit, bld: CnfBuilder) -> Lit:
 
 
 def _or_many(lits: Sequence[Lit], bld: CnfBuilder) -> Lit:
-    """Fresh literal equivalent to the disjunction, folding as above."""
+    """Literal equivalent to the disjunction, folding and shared as above."""
     kept = _disjuncts(lits)
     if kept is None:
         return TRUE
@@ -201,7 +206,10 @@ def _or_many(lits: Sequence[Lit], bld: CnfBuilder) -> Lit:
         return FALSE
     if len(kept) == 1:
         return kept[0]
-    v = bld.fresh()
+    key = ("or", *sorted(kept))
+    if key in bld.gates:
+        return bld.gates[key]
+    v = bld.gates[key] = bld.fresh()
     bld.add_clause([-v] + kept)
     for lit in kept:
         bld.add_clause([-lit, v])
@@ -314,56 +322,46 @@ def _bus_at_least(bus: UnaryBus, count: int) -> Lit:
     return bus[count - 1]
 
 
-def encode_geq(digit_buses: Sequence[UnaryBus], threshold_digits: Sequence[int],
-               bld: CnfBuilder, negated: bool = False) -> None:
-    """Assert that the mixed radix number on the buses is at least the
-    number with the given digits, or below it when ``negated``, comparing
-    most significant first: geq_j = (D_j > c_j) or (D_j >= c_j and
-    geq_below_j).  Bus j is read at lines c_j and, above the lowest
-    nonzero digit, c_j + 1."""
+def encode_geq(sorted_buses: Sequence[UnaryBus], base: Sequence[int],
+               threshold_digits: Sequence[int], bld: CnfBuilder,
+               negated: bool = False) -> None:
+    """Assert that the mixed radix number on a network's sorted buses is at
+    least the number with the given digits, or below it when ``negated``:
+    geq_j = (D_j > c_j) or (D_j >= c_j and geq_below_j), with D_j bus j
+    modulo base[j] below the top.  Each D_j is built only at the lines
+    read: c_j and, above the lowest nonzero digit, c_j + 1."""
     geq: Lit = TRUE
-    for bus, c in zip(digit_buses, threshold_digits):
+    for j, (bus, c) in enumerate(zip(sorted_buses, threshold_digits)):
+        if j < len(base):
+            bus = normalizer(bus, base[j], bld, (c,) if geq is TRUE else (c, c + 1))[0]
         ge = _bus_at_least(bus, c)
         if geq is TRUE:
             geq = ge
         else:
-            gt = _bus_at_least(bus, c + 1)
-            geq = _or_many([gt, _and2(ge, geq, bld)], bld)
+            geq = _or_many([_bus_at_least(bus, c + 1), _and2(ge, geq, bld)], bld)
     bld.add_clause([neg(geq) if negated else geq])
 
 
-def encode_constraint(c: PbConstraint, base: Sequence[int], bld: CnfBuilder,
-                      reads: Iterable[int] = ()) -> list[UnaryBus] | None:
+def encode_constraint(c: PbConstraint, base: Sequence[int],
+                      bld: CnfBuilder) -> list[UnaryBus] | None:
     """Full pipeline for one constraint: decompose, sort each position
-    (carries from the previous position join its inputs), normalize all
-    but the most significant position, then compare against the
-    threshold.  The normalizers build only the remainder lines that the
-    comparisons against the threshold and the further thresholds in
-    ``reads`` read.  Returns the digit buses, or None for a constraint
+    (the carries of the previous position join its inputs), then compare
+    against the threshold.  Returns the sorted buses, which further
+    comparisons may read through ``encode_geq``, or None for a constraint
     whose coefficients cannot reach the threshold: it emits a single
     empty clause."""
     base = tuple(base)
     if c.coefficient_sum < c.threshold:
         bld.add_clause([])
         return None
-    lines: list[set[int]] = [set() for _ in base]
-    for t in (c.threshold, *reads):
-        lowest = True  # no nonzero digit below: encode_geq reads R_d alone
-        for j, d in enumerate(digits_of(t, base)[:-1]):
-            lines[j].update((d,) if lowest else (d, d + 1))
-            lowest = lowest and d == 0
-    buses = decompose(c, base)
     carries: tuple[Lit, ...] = ()
-    digit_out: list[UnaryBus] = []
-    for j in range(len(base) + 1):
-        sorted_bus = sorting_network(buses[j] + carries, bld)
+    sorted_buses: list[UnaryBus] = []
+    for j, bus in enumerate(decompose(c, base)):
+        sorted_buses.append(sorting_network(bus + carries, bld))
         if j < len(base):
-            rem, carries = normalizer(sorted_bus, base[j], bld, lines[j])
-            digit_out.append(rem)
-        else:
-            digit_out.append(sorted_bus)
-    encode_geq(digit_out, digits_of(c.threshold, base), bld)
-    return digit_out
+            carries = normalizer(sorted_buses[j], base[j], bld, ())[1]
+    encode_geq(sorted_buses, base, digits_of(c.threshold, base), bld)
+    return sorted_buses
 
 
 @dataclass
@@ -415,53 +413,45 @@ def encode_instance(
     constraints share the result.  A search that times out falls back to
     the binary base (flagged in the stats) when ``fallback_binary`` is
     set, and otherwise keeps the best base found.  Constraints over one
-    term vector and base read one network, built by the first of them;
-    under full polarity so do those over its complement (see the module
-    docstring).  A reader emits only its comparison.
+    term vector and base read one sorter network, built by the first of
+    them; under full polarity so do those over its complement (see the
+    module docstring).  A reader's stats count its comparison and the
+    remainder lines it reads that no earlier comparison built.
     """
     bld = CnfBuilder(num_input_vars, polarity=polarity)
     searched: dict[Multiset, tuple[tuple[int, ...], bool]] = {}
     forced = tuple(forced_base) if forced_base is not None else None
-    jobs = []  # (multiset, base, fell back, network owner, threshold, negated)
-    owners: dict[tuple, int] = {}  # (term vector, base) -> first constraint
-    reads = defaultdict(list)  # owner -> every threshold read on its network
-    for idx, pc in enumerate(constraints):
-        if pc.coefficient_sum < pc.threshold:  # no multiset: the sum may pass 2**63
-            jobs.append((None, (), False, idx, 0, False))
-            continue
-        s = Multiset.of(c for c, _ in pc.terms)
-        if forced is None and s not in searched:
-            res = find_base(s, cfg)
-            searched[s] = ((initial_best(s), True)
-                           if res.timed_out and fallback_binary
-                           else (res.best_base, False))
-        base, fellback = searched[s] if forced is None else (forced, False)
-        key = (pc.terms, base)
-        flipped = (tuple((c, -lit) for c, lit in pc.terms), base)
-        if key in owners:
-            job = (owners[key], pc.threshold, False)
-        elif polarity == "full" and flipped in owners:
-            job = (owners[flipped], pc.coefficient_sum - pc.threshold + 1, True)
-        else:
-            owners[key] = idx
-            job = (idx, pc.threshold, False)
-        reads[job[0]].append(job[1])
-        jobs.append((s, base, fellback, *job))
-
+    # (term vector, base) -> (first constraint over it, its sorted buses)
+    nets: dict[tuple, tuple[int, list[UnaryBus]]] = {}
     stats: list[ConstraintStats] = []
-    nets: dict[int, list[UnaryBus] | None] = {}
-    for idx, (pc, (s, base, fellback, owner, t, negated)) in enumerate(
-            zip(constraints, jobs)):
+    for idx, pc in enumerate(constraints):
         c0, v0, n0 = len(bld.clauses), bld.num_vars, bld.comparators
         s0 = len(bld.network_sizes)
-        if owner == idx:
-            nets[idx] = encode_constraint(pc, base, bld, reads[idx])
+        owner = None
+        if pc.coefficient_sum < pc.threshold:  # no multiset: the sum may pass 2**63
+            s, base, fellback = None, (), False
+            encode_constraint(pc, base, bld)
         else:
-            encode_geq(nets[owner], digits_of(t, base), bld, negated)
+            s = Multiset.of(c for c, _ in pc.terms)
+            if forced is None and s not in searched:
+                res = find_base(s, cfg)
+                searched[s] = ((initial_best(s), True)
+                               if res.timed_out and fallback_binary
+                               else (res.best_base, False))
+            base, fellback = searched[s] if forced is None else (forced, False)
+            flipped = tuple((c, -lit) for c, lit in pc.terms)
+            if (pc.terms, base) in nets:
+                owner, buses = nets[pc.terms, base]
+                encode_geq(buses, base, digits_of(pc.threshold, base), bld)
+            elif polarity == "full" and (flipped, base) in nets:
+                owner, buses = nets[flipped, base]
+                encode_geq(buses, base, digits_of(pc.coefficient_sum - pc.threshold + 1,
+                                                  base), bld, negated=True)
+            else:
+                nets[pc.terms, base] = (idx, encode_constraint(pc, base, bld))
         stats.append(ConstraintStats(
             idx, base, cfg.kind.value,
             None if s is None else cost_of(cfg.kind, s, base),
             len(bld.clauses) - c0, bld.num_vars - v0, bld.comparators - n0,
-            tuple(bld.network_sizes[s0:]), s is None, fellback,
-            None if owner == idx else owner))
+            tuple(bld.network_sizes[s0:]), s is None, fellback, owner))
     return Cnf(bld.num_vars, bld.clauses), stats

@@ -625,19 +625,3 @@ def test_find_base_opb_oversized_constraint_goes_on(capsys, tmp_path):
     code, out, err = run(capsys, "find-base", "--opb", str(path))
     assert code == 1 and "error: constraint 0:" in err
     assert "constraint 1: cost: 8 (digits)" in out
-
-
-def test_bench_parallel_jobs_match_serial(capsys, tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    for path, jobs in ((a, "1"), (b, "2")):
-        assert run(capsys, "bench", "--gen", "6", "--seed", "11",
-                   "--gen-max", "50", "--jobs", jobs,
-                   "--out", str(path))[0] == 0
-
-    def strip_times(text):
-        rows = _read_csv(text)
-        for r in rows:
-            r.pop("time_s", None)
-        return rows
-
-    assert strip_times(a.read_text()) == strip_times(b.read_text())

@@ -13,7 +13,7 @@ from optibase.encoder import (FALSE, TRUE, CnfBuilder, PbConstraint, Cnf,
                               _batcher_pairs, comparator, decompose,
                               encode_constraint, encode_geq, encode_instance,
                               neg, normalizer, sorting_network, to_dimacs)
-from optibase.mixedradix import Multiset
+from optibase.mixedradix import Multiset, digits_of
 from optibase.opb import load_instance
 from optibase.satcheck import Solver
 from optibase.search import SearchConfig, find_base
@@ -185,22 +185,33 @@ def test_decompose_refuses_digit_sums_past_the_bus_limit():
 
 def test_encode_geq_zero_digits_emits_nothing():
     bld = CnfBuilder(4)
-    encode_geq([(1, 2), (3, 4)], (0, 0), bld)
+    encode_geq([(1, 2), (3, 4)], (3,), (0, 0), bld)
     assert not bld.clauses and bld.num_vars == 4
 
 
 def test_encode_geq_unary_threshold_is_unit_clause():
     bld = CnfBuilder(8)
     bus = tuple(range(1, 9))
-    encode_geq([bus], (4,), bld)
+    encode_geq([bus], (), (4,), bld)
     assert bld.clauses == [[4]]
 
 
 def test_encode_geq_unreachable_digit_is_empty_clause():
     bld = CnfBuilder(2)
-    encode_geq([(1, 2)], (3,), bld)
+    encode_geq([(1, 2)], (), (3,), bld)
     assert bld.clauses == [[]]
     assert [] in bld.clauses
+
+
+def test_encode_geq_repeated_comparison_reuses_its_gates():
+    # the lines and gates it reads already exist, so only its unit clause is new
+    bld = CnfBuilder(6)
+    base = (2, 3, 3)
+    buses = encode_constraint(PSI, base, bld)
+    clauses, num_vars = len(bld.clauses), bld.num_vars
+    encode_geq(buses, base, digits_of(PSI.threshold, base), bld)
+    assert len(bld.clauses) == clauses + 1 and bld.num_vars == num_vars
+    assert bld.clauses[-1] == bld.clauses[clauses - 1]
 
 
 def test_encode_constraint_running_example_structure():
