@@ -17,16 +17,19 @@ an admissible bound ``alpha`` (partial cost plus a heuristic) that never
 overestimates the cost of any extension.  All values are integers; the
 only float is the bit length of a comp network size, which is exact.
 
-``within`` cuts hopeless candidates before ``child_metrics`` divides.
-With cur = values // prod, a radix p takes the i = searchsorted(cur, p)
-values with cur < p whole into the new column, so that column holds at
-least W[i] = sum_{j<i} m_j * cur_j digits; each other value keeps a digit
-above it.  Hence ``prefix_bounds`` lb[i] <= alpha: partial cost + W[i] +
-suffix_counts[i] for digits and carry, prefix_comp + comparator_count(
-W[i] + carry_in) for comp (the count is monotone).  A radix >= 2 has
-i >= i0 = #{cur < 2}; past i0 each step adds m_j * (cur_j - 1) >= 0, so
-lb never decreases and the candidates within a bound are a prefix of the
-ascending array.  Each candidate cut has alpha above the bound as well.
+``within`` cuts candidates before ``child_metrics`` divides, in two steps
+that each drop only children whose alpha is above the bound.  With cur =
+values // prod, a radix p takes the i = searchsorted(cur, p) values with
+cur < p whole into the new column, W[i] = sum_{j<i} m_j * cur_j digits,
+and each other value keeps a digit above it.  So ``prefix_bounds`` lb[i]
+<= alpha: partial cost + W[i] + suffix_counts[i] for digits and carry,
+prefix_comp + comparator_count(W[i] + carry_in) for comp (a monotone
+count).  Each radix has i >= i0 = #{cur < 2}, and past i0 a step adds
+m_j * (cur_j - 1) >= 0, so the first step keeps a prefix of the ascending
+candidates.  The second, a residue sieve, holds as p <= cur_top = max(S)
+// prod: the top value puts m_top * (cur_top mod p) into the column and
+keeps a digit above it, so partial cost + m_top * (cur_top mod p + 1) <=
+alpha, and for comp prefix_comp + comparator_count(that + carry_in).
 """
 
 from __future__ import annotations
@@ -201,13 +204,24 @@ class BaseEval:
         return [part + w + n for w, n in zip(whole, self.suffix_counts.tolist())]
 
     def within(self, ps: np.ndarray, kind: CostKind, bound: int) -> np.ndarray:
-        """The leading candidates of ascending ``ps`` (each <= max(S) // prod)
-        within ``bound`` by ``prefix_bounds``; the rest have alpha > bound."""
+        """``ps`` (ascending, each <= max(S) // prod) less the candidates cut
+        by ``prefix_bounds`` and the residue sieve, all with alpha > bound."""
         cur = self.cur.tolist()
         i0 = bisect_left(cur, 2)  # lb is non-decreasing from i0 on
         last = bisect_right(self.prefix_bounds(kind), bound, i0, len(cur)) - 1
         top = cur[last] if last >= i0 else 0
-        return ps[: int(np.searchsorted(ps, top, side="right"))]
+        ps = ps[: int(np.searchsorted(ps, top, side="right"))]
+        # the sieve: lb(p) <= bound solved for cur_top mod p
+        slack = bound - self.partial(kind)
+        if kind is CostKind.NUM_COMP:
+            # the largest network within slack; comparator_count(n) >= n - 1
+            fits = bisect_right(range(slack + 2), slack, key=comparator_count)
+            most = (fits - 1 - self.carry_in) // int(self.mults[-1])
+        else:
+            most = slack // int(self.mults[-1]) - 1
+        if most >= cur[-1]:  # no remainder exceeds cur_top itself
+            return ps
+        return ps[cur[-1] % ps <= most]
 
     def child_metrics(self, ps: np.ndarray, kind: CostKind):
         """(cost, alpha) arrays for extending by each candidate in ``ps``.

@@ -48,6 +48,8 @@ class SearchConfig:
             raise ValueError("max_elem must be at least 2")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if not (self.timeout is None or self.timeout >= 0):  # NaN fails too
+            raise ValueError(f"timeout must be at least 0, got {self.timeout}")
         if self.primes_only is None:
             self.primes_only = self.kind is CostKind.SUM_DIGITS
 

@@ -535,6 +535,22 @@ def test_bench_config_errors_exit_1(capsys, tmp_path):
         assert code == 1 and "error:" in err, flags
 
 
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_bad_timeout_is_an_error(capsys, tmp_path, value):
+    # a NaN timeout would never expire (every comparison with NaN is
+    # false), and a negative one would stop the search before it expands
+    src = tmp_path / "psi.opb"
+    src.write_text(PSI_OPB)
+    out_cnf = tmp_path / "psi.cnf"
+    for argv in (["find-base", "--set", "100,200"],
+                 ["encode", str(src), "-o", str(out_cnf)],
+                 ["bench", "--gen", "2", "--out", str(tmp_path / "r.csv")]):
+        code, out, err = run(capsys, *argv, "--timeout", value)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and "timeout" in err, argv
+    assert not out_cnf.exists()
+
+
 def test_bench_primes_auto_follows_the_cost(capsys, tmp_path):
     out_csv = tmp_path / "r.csv"
     code, _, _ = run(capsys, "bench", "--gen", "2", "--gen-max", "30",

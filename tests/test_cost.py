@@ -10,7 +10,8 @@ from optibase.cost import (BaseEval, CostKind, _bit_length, comparator_count,
                            cost_of)
 from optibase.encoder import PbConstraint, _batcher_pairs, decompose
 from optibase.mixedradix import Multiset
-from optibase.search import COMP_SUM_LIMIT, SearchConfig, _children, extenders
+from optibase.search import (COMP_SUM_LIMIT, SearchConfig, _children,
+                             extenders, initial_best)
 
 from helpers import (breakdown_oracle, cost_oracle, emitted_columns,
                      engine_columns, heuristic_oracle, partial_oracle)
@@ -359,6 +360,40 @@ def test_prefix_bounds_admissible_and_tight(ev, rng):
 
 
 @_PROPERTY
+@given(_states(), st.randoms(use_true_random=False))
+def test_residue_sieve_admissible(ev, rng):
+    # p <= cur_top, so the top value adds m_top * (cur_top mod p) to the new
+    # column and keeps a digit above it: lb(p) <= alpha, and ``within``
+    # keeps p at the bound alpha and drops it at lb(p) - 1
+    top, m = int(ev.cur[-1]), int(ev.mults[-1])
+    for kind in _kinds(ev.multiset):
+        for p in _edge_extenders(rng, ev).tolist():
+            rest = m * (top % p)
+            if kind is CostKind.NUM_COMP:
+                lb = ev.prefix_comp + comparator_count(rest + ev.carry_in)
+            else:
+                lb = ev.partial(kind) + rest + m
+            alpha = ev.extend(p).alpha(kind)
+            assert lb <= alpha
+            one = np.array([p], dtype=np.int64)
+            assert ev.within(one, kind, alpha).tolist() == [p]
+            assert len(ev.within(one, kind, lb - 1)) == 0
+
+
+def test_within_sieves_by_the_top_remainder():
+    # at the root of four values from U[1, 2**31 - 1] under the starting
+    # bound, the prefix cut alone keeps every candidate
+    s = Multiset.of([1337671203, 548563997, 1592975437, 769949151])
+    ev = BaseEval.root(s)
+    for kind, want in ((CostKind.SUM_DIGITS, (1229, 68)),
+                       (CostKind.SUM_CARRY, (9999, 669)),
+                       (CostKind.NUM_COMP, (9999, 192))):
+        ps = extenders(1, s, SearchConfig(kind))
+        bound = cost_of(kind, s, initial_best(s))
+        assert (len(ps), len(ev.within(ps, kind, bound))) == want
+
+
+@_PROPERTY
 @given(_states(), st.randoms(use_true_random=False), st.integers(2, 2000),
        st.booleans())
 def test_children_cut_matches_uncut_kernel(ev, rng, max_elem, primes):
@@ -384,8 +419,8 @@ def test_children_cut_matches_uncut_kernel(ev, rng, max_elem, primes):
             children, cut = _children(ev, s, cfg, bound)
             assert list(children) == want
             assert cut == len(ps) - len(want)
-            kept = len(ev.within(edge, kind, bound))
-            assert (edge_alphas[kept:] > bound).all()
+            kept = np.isin(edge, ev.within(edge, kind, bound))
+            assert (edge_alphas[~kept] > bound).all()
 
 
 def test_bit_length_matches_int_bit_length():

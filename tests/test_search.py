@@ -251,6 +251,10 @@ def test_search_config_primes_default_follows_the_cost():
     assert set(ALGORITHMS) == {"dfs", "bnb", "hashbnb", "brute"}
     with pytest.raises(ValueError, match="unknown algorithm 'nope'"):
         SearchConfig(kind=CostKind.SUM_DIGITS, algorithm="nope")
+    for bad in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="timeout must be at least 0"):
+            SearchConfig(kind=CostKind.SUM_DIGITS, timeout=bad)
+    assert SearchConfig(kind=CostKind.SUM_DIGITS, timeout=0.0).timeout == 0.0
 
 
 def test_timeout_returns_best_so_far():
