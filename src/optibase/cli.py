@@ -471,7 +471,7 @@ def main(argv=None) -> int:
     except OpbParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except (ToolError, OSError, ValueError) as e:
+    except (ToolError, OSError, ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

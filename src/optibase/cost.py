@@ -18,18 +18,19 @@ overestimates the cost of any extension.  All values are integers; the
 only float is the bit length of a comp network size, which is exact.
 
 ``within`` cuts candidates before ``child_metrics`` divides, in two steps
-that each drop only children whose alpha is above the bound.  With cur =
-values // prod, a radix p takes the i = searchsorted(cur, p) values with
-cur < p whole into the new column, W[i] = sum_{j<i} m_j * cur_j digits,
-and each other value keeps a digit above it.  So ``prefix_bounds`` lb[i]
-<= alpha: partial cost + W[i] + suffix_counts[i] for digits and carry,
-prefix_comp + comparator_count(W[i] + carry_in) for comp (a monotone
-count).  Each radix has i >= i0 = #{cur < 2}, and past i0 a step adds
-m_j * (cur_j - 1) >= 0, so the first step keeps a prefix of the ascending
-candidates.  The second, a residue sieve, holds as p <= cur_top = max(S)
-// prod: the top value puts m_top * (cur_top mod p) into the column and
-keeps a digit above it, so partial cost + m_top * (cur_top mod p + 1) <=
-alpha, and for comp prefix_comp + comparator_count(that + carry_in).
+that drop only children whose alpha is above the bound.  Both read one
+column budget: the new column may hold ``room`` digits, and the values
+left above it add ``above[i]``.  For digits and carry, room is the bound
+less the partial cost and above = suffix_counts (a digit per value left
+above).  For comp, room is the largest n with prefix_comp +
+comparator_count(n) <= bound, less carry_in, and above = 0 (the count is
+monotone).  With cur = values // prod, a radix p takes the i =
+searchsorted(cur, p) values with cur < p whole into the column, W[i] =
+sum_{j<i} m_j * cur_j digits, so the prefix cut keeps p while W[i] +
+above[i] <= room; past i0 = #{cur < 2} that sum never falls, so it keeps
+a prefix of the ascending candidates.  As p <= cur_top = max(S) // prod,
+the top value puts m_top * (cur_top mod p) into the column and stays
+above it, so the residue sieve keeps p where that + above[n - 1] <= room.
 """
 
 from __future__ import annotations
@@ -192,33 +193,27 @@ class BaseEval:
             return self.prefix_comp
         return self.partial(kind) + self.heuristic_count()
 
-    def prefix_bounds(self, kind: CostKind) -> list[int]:
-        """lb[i] <= alpha of each child whose radix has i values of ``cur``
-        below it (see the module docstring); no division."""
-        whole = accumulate(map(mul, self.mults.tolist(), self.cur.tolist()),
-                           initial=0)
-        if kind is CostKind.NUM_COMP:
-            return [self.prefix_comp + comparator_count(w + self.carry_in)
-                    for w in whole]
-        part = self.partial(kind)
-        return [part + w + n for w, n in zip(whole, self.suffix_counts.tolist())]
-
     def within(self, ps: np.ndarray, kind: CostKind, bound: int) -> np.ndarray:
-        """``ps`` (ascending, each <= max(S) // prod) less the candidates cut
-        by ``prefix_bounds`` and the residue sieve, all with alpha > bound."""
+        """``ps`` (ascending, each <= max(S) // prod) less candidates with
+        alpha > bound: the prefix cut and the residue sieve, no division,
+        both on the column budget ``room`` and ``above`` set here."""
         cur = self.cur.tolist()
-        i0 = bisect_left(cur, 2)  # lb is non-decreasing from i0 on
-        last = bisect_right(self.prefix_bounds(kind), bound, i0, len(cur)) - 1
-        top = cur[last] if last >= i0 else 0
-        ps = ps[: int(np.searchsorted(ps, top, side="right"))]
-        # the sieve: lb(p) <= bound solved for cur_top mod p
+        n = len(cur)
         slack = bound - self.partial(kind)
         if kind is CostKind.NUM_COMP:
-            # the largest network within slack; comparator_count(n) >= n - 1
+            # the largest network within slack; comparator_count(k) >= k - 1
             fits = bisect_right(range(slack + 2), slack, key=comparator_count)
-            most = (fits - 1 - self.carry_in) // int(self.mults[-1])
+            room, above = fits - 1 - self.carry_in, [0] * (n + 1)
         else:
-            most = slack // int(self.mults[-1]) - 1
+            room, above = slack, self.suffix_counts.tolist()
+        need = [w + a for w, a in zip(
+            accumulate(map(mul, self.mults.tolist(), cur), initial=0), above)]
+        i0 = bisect_left(cur, 2)  # need is non-decreasing from i0 on
+        last = bisect_right(need, room, i0, n) - 1
+        top = cur[last] if last >= i0 else 0
+        ps = ps[: int(np.searchsorted(ps, top, side="right"))]
+        # the sieve: m_top * (cur_top mod p) + above[n - 1] <= room
+        most = (room - above[n - 1]) // int(self.mults[-1])
         if most >= cur[-1]:  # no remainder exceeds cur_top itself
             return ps
         return ps[cur[-1] % ps <= most]

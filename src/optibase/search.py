@@ -32,9 +32,6 @@ BRUTE_FORCE_MAX = 10_000
 # whole comp cost, at most 639 comparators per input, stays under 2**62.
 COMP_SUM_LIMIT = 1 << 51
 
-_EMPTY = np.empty(0, dtype=np.int64)
-
-
 @dataclass
 class SearchConfig:
     kind: CostKind
@@ -79,16 +76,19 @@ def primes_up_to(limit: int) -> np.ndarray:
     return primes
 
 
-def extenders(prod: int, s: Multiset, cfg: SearchConfig) -> np.ndarray:
-    """Ascending p by which a base of product ``prod`` extends to a
-    non-redundant base for ``s`` under the configured limit and primality."""
-    cap = min(cfg.max_elem, s.max // prod)
-    if cap < 2:
-        return _EMPTY
+def radix_array(s: Multiset, cfg: SearchConfig) -> np.ndarray:
+    """Ascending primes (or all integers, if not ``primes_only``) from 2 to
+    min(max_elem, max(S)): the radices of one search, built at its start."""
+    limit = min(cfg.max_elem, s.max)
     if cfg.primes_only:
-        arr = primes_up_to(min(cfg.max_elem, s.max))
-        return arr[: int(np.searchsorted(arr, cap, side="right"))]
-    return np.arange(2, cap + 1, dtype=np.int64)
+        return primes_up_to(limit)
+    return np.arange(2, limit + 1, dtype=np.int64)
+
+
+def extenders(radices: np.ndarray, prod: int, s: Multiset) -> np.ndarray:
+    """The prefix of ``radices`` by which a base of product ``prod`` extends
+    to a non-redundant base for ``s``: a view, never a copy."""
+    return radices[: int(np.searchsorted(radices, s.max // prod, side="right"))]
 
 
 def initial_best(s: Multiset) -> Base:
@@ -113,14 +113,15 @@ def _initial_candidates(root: BaseEval, kind: CostKind) -> tuple[Base, int]:
     return best, best_cost
 
 
-def _children(state: BaseEval, s: Multiset, cfg: SearchConfig, bound: int):
+def _children(state: BaseEval, radices: np.ndarray, kind: CostKind,
+              bound: int):
     """(p, alpha, cost) for each extension of ``state`` whose alpha is within
     ``bound`` (``BaseEval.within`` cuts first), and how many the bound cut."""
-    ps = extenders(state.prod, s, cfg)
-    live = state.within(ps, cfg.kind, bound)
+    ps = extenders(radices, state.prod, state.multiset)
+    live = state.within(ps, kind, bound)
     if len(live) == 0:
         return (), len(ps)
-    costs, alphas = state.child_metrics(live, cfg.kind)
+    costs, alphas = state.child_metrics(live, kind)
     keep = np.flatnonzero(alphas <= bound)
     return (zip(live[keep].tolist(), alphas[keep].tolist(),
                 costs[keep].tolist()),
@@ -138,6 +139,7 @@ def _dfs(s: Multiset, cfg: SearchConfig) -> SearchResult:
     t0 = time.monotonic()
     root = BaseEval.root(s)
     best_base, best_cost = _initial_candidates(root, kind)
+    radices = radix_array(s, cfg)
     expanded = 0
     pruned = 0
     timed_out = False
@@ -149,7 +151,7 @@ def _dfs(s: Multiset, cfg: SearchConfig) -> SearchResult:
             return
         expanded += 1
         # children over the entry bound stay over any tightened bound
-        children, cut = _children(state, s, cfg, best_cost)
+        children, cut = _children(state, radices, kind, best_cost)
         pruned += cut
         for p, alpha, cost in children:
             if timed_out:
@@ -179,6 +181,7 @@ def _queue_search(s: Multiset, cfg: SearchConfig) -> SearchResult:
     t0 = time.monotonic()
     root = BaseEval.root(s)
     best_base, best_cost = _initial_candidates(root, kind)
+    radices = radix_array(s, cfg)
     root_key = (root.alpha(kind), 1, 0, ())
     heap = [(root_key, root, None)]
     resident = {1 if hashed else (): root_key}
@@ -197,7 +200,7 @@ def _queue_search(s: Multiset, cfg: SearchConfig) -> SearchResult:
             break
         state = parent if p is None else parent.extend(p)
         expanded += 1
-        children, cut = _children(state, s, cfg, best_cost)
+        children, cut = _children(state, radices, kind, best_cost)
         pruned += cut
         base, prod, length = state.base, state.prod, len(state.base) + 1
         for p, alpha, cost in children:
@@ -233,6 +236,7 @@ def _brute_force(s: Multiset, cfg: SearchConfig) -> SearchResult:
     t0 = time.monotonic()
     root = BaseEval.root(s)
     best_base, best_cost = (), root.cost(kind)
+    radices = radix_array(s, cfg)
     expanded = 0
     timed_out = False
 
@@ -245,7 +249,7 @@ def _brute_force(s: Multiset, cfg: SearchConfig) -> SearchResult:
         c = state.cost(kind)
         if c < best_cost:
             best_base, best_cost = state.base, c
-        for p in extenders(state.prod, s, cfg):
+        for p in extenders(radices, state.prod, s):
             visit(state.extend(int(p)))
 
     visit(root)

@@ -189,6 +189,22 @@ def test_encode_refuses_oversized_forced_base_buses(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("cost", ["carry", "digits"])
+def test_find_base_reports_a_radix_array_too_large(cost):
+    # 10^12 candidate radices (or a sieve to 10^12) cannot be allocated
+    # under the 1 GiB address-space cap: an error line, not a traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "optibase.cli", "find-base",
+         "--set", "1000000000000,3", "--max-elem", "1000000000000",
+         "--cost", cost],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        preexec_fn=_cap_address_space)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_encode_large_radix_counts(capsys, tmp_path):
     src = tmp_path / "t.opb"
     src.write_text("+6 x1 +10 x2 >= 7 ;\n")

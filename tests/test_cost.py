@@ -11,7 +11,7 @@ from optibase.cost import (BaseEval, CostKind, _bit_length, comparator_count,
 from optibase.encoder import PbConstraint, _batcher_pairs, decompose
 from optibase.mixedradix import Multiset
 from optibase.search import (COMP_SUM_LIMIT, SearchConfig, _children,
-                             extenders, initial_best)
+                             extenders, initial_best, radix_array)
 
 from helpers import (breakdown_oracle, cost_oracle, emitted_columns,
                      engine_columns, heuristic_oracle, partial_oracle)
@@ -339,14 +339,30 @@ _PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
                      database=None)
 
 
+def _prefix_bounds(ev, kind):
+    """lb[i] <= alpha of each child of ev whose radix has i values of cur
+    below it: partial + W[i] + suffix_counts[i], or for comp prefix_comp +
+    comparator_count(W[i] + carry_in), W[i] = sum_{j<i} m_j * cur_j."""
+    whole = [0]
+    for m, c in zip(ev.mults.tolist(), ev.cur.tolist()):
+        whole.append(whole[-1] + m * c)
+    if kind is CostKind.NUM_COMP:
+        return [ev.prefix_comp + comparator_count(w + ev.carry_in)
+                for w in whole]
+    return [ev.partial(kind) + w + n
+            for w, n in zip(whole, ev.suffix_counts.tolist())]
+
+
 @_PROPERTY
 @given(_states(), st.randoms(use_true_random=False))
 def test_prefix_bounds_admissible_and_tight(ev, rng):
     # lb[i] <= alpha for every candidate p, i = #{cur < p}; equal when p
-    # leaves no remainder in the new column and, under carry, no carry
+    # leaves no remainder in the new column and, under carry, no carry;
+    # ``within`` keeps p at the bound alpha and drops it at lb[i] - 1
     cur, mults = ev.cur.tolist(), ev.mults.tolist()
+    i0 = sum(1 for c in cur if c < 2)
     for kind in _kinds(ev.multiset):
-        lb = ev.prefix_bounds(kind)
+        lb = _prefix_bounds(ev, kind)
         assert len(lb) == len(cur) + 1
         for p in _edge_extenders(rng, ev).tolist():
             i = sum(1 for c in cur if c < p)
@@ -357,6 +373,10 @@ def test_prefix_bounds_admissible_and_tight(ev, rng):
                      and (kind is not CostKind.SUM_CARRY or child.carry_in == 0))
             if exact:
                 assert lb[i] == child.alpha(kind)
+            one = np.array([p], dtype=np.int64)
+            assert ev.within(one, kind, child.alpha(kind)).tolist() == [p]
+            assert i >= i0  # p >= 2, and lb is non-decreasing from i0 on
+            assert len(ev.within(one, kind, lb[i] - 1)) == 0
 
 
 @_PROPERTY
@@ -388,7 +408,7 @@ def test_within_sieves_by_the_top_remainder():
     for kind, want in ((CostKind.SUM_DIGITS, (1229, 68)),
                        (CostKind.SUM_CARRY, (9999, 669)),
                        (CostKind.NUM_COMP, (9999, 192))):
-        ps = extenders(1, s, SearchConfig(kind))
+        ps = extenders(radix_array(s, SearchConfig(kind)), 1, s)
         bound = cost_of(kind, s, initial_best(s))
         assert (len(ps), len(ev.within(ps, kind, bound))) == want
 
@@ -404,11 +424,12 @@ def test_children_cut_matches_uncut_kernel(ev, rng, max_elem, primes):
     s = ev.multiset
     edge = _edge_extenders(rng, ev)
     for kind in _kinds(s):
-        cfg = SearchConfig(kind, max_elem=max_elem, primes_only=primes)
-        ps = extenders(ev.prod, s, cfg)
+        radices = radix_array(
+            s, SearchConfig(kind, max_elem=max_elem, primes_only=primes))
+        ps = extenders(radices, ev.prod, s)
         costs, alphas = ev.child_metrics(ps, kind)
         _, edge_alphas = ev.child_metrics(edge, kind)
-        marks = ev.prefix_bounds(kind)
+        marks = _prefix_bounds(ev, kind)
         for a in (alphas, edge_alphas):
             if len(a):
                 marks += [int(a.min()), int(a.max()), rng.choice(a.tolist())]
@@ -416,7 +437,7 @@ def test_children_cut_matches_uncut_kernel(ev, rng, max_elem, primes):
             keep = alphas <= bound
             want = list(zip(ps[keep].tolist(), alphas[keep].tolist(),
                             costs[keep].tolist()))
-            children, cut = _children(ev, s, cfg, bound)
+            children, cut = _children(ev, radices, kind, bound)
             assert list(children) == want
             assert cut == len(ps) - len(want)
             kept = np.isin(edge, ev.within(edge, kind, bound))

@@ -7,7 +7,7 @@ import pytest
 from optibase.cost import BaseEval, CostKind, cost_of
 from optibase.mixedradix import Multiset
 from optibase.search import (ALGORITHMS, SearchConfig, extenders, find_base,
-                             initial_best, primes_up_to)
+                             initial_best, primes_up_to, radix_array)
 
 from helpers import (cost_oracle, count_bases, enumerate_bases, optimum_oracle,
                      sieve_set)
@@ -34,13 +34,31 @@ def test_primes_up_to():
 
 def test_extenders_examples():
     s = Multiset.of([16, 30, 54, 60])
-    cfg = cfg_for(max_elem=17, primes=True)
-    assert extenders(product(()), s, cfg).tolist() == [2, 3, 5, 7, 11, 13, 17]
-    assert extenders(product((3, 5)), s, cfg).tolist() == [2, 3]
+    radices = radix_array(s, cfg_for(max_elem=17, primes=True))
+    assert extenders(radices, product(()), s).tolist() == [2, 3, 5, 7, 11, 13, 17]
+    assert extenders(radices, product((3, 5)), s).tolist() == [2, 3]
     # product 60 = max
-    assert extenders(product((2, 2, 3, 5)), s, cfg).tolist() == []
-    assert extenders(product(()), s, cfg_for(max_elem=7, primes=False)
-                     ).tolist() == [2, 3, 4, 5, 6, 7]
+    assert extenders(radices, product((2, 2, 3, 5)), s).tolist() == []
+    radices = radix_array(s, cfg_for(max_elem=7, primes=False))
+    assert extenders(radices, product(()), s).tolist() == [2, 3, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("primes", [True, False])
+def test_extenders_slice_the_search_radix_array(primes):
+    s = Multiset.of([16, 30, 54, 60])
+    radices = radix_array(s, cfg_for(max_elem=1000, primes=primes))
+    # the array stops at max(S) when max_elem is larger, and each
+    # expansion's candidates are a view of it
+    assert radices[-1] == (59 if primes else 60)
+    ps = extenders(radices, 6, s)
+    assert len(ps) and np.shares_memory(ps, radices)
+    # empty once max(S) // prod < 2
+    assert len(extenders(radices, 31, s)) == 0
+    assert len(extenders(radices, 61, s)) == 0
+    # it stops at max_elem when max_elem < max(S)
+    radices = radix_array(s, cfg_for(max_elem=20, primes=primes))
+    assert extenders(radices, 1, s).tolist() == (
+        [2, 3, 5, 7, 11, 13, 17, 19] if primes else list(range(2, 21)))
 
 
 def test_initial_best_examples():
