@@ -127,12 +127,12 @@ def cmd_find_base(args) -> int:
         payload = [dict(_result_dict(s, r), label=label) if s is not None
                    else {"label": label, "error": r}
                    for label, s, r in results]
-        print(json.dumps(payload if len(payload) != 1 else payload[0], indent=2))
+        print(json.dumps(payload if args.opb else payload[0], indent=2))
     else:
         for label, s, res in results:
             if s is None:
                 continue
-            prefix = f"{label}: " if len(results) > 1 else ""
+            prefix = f"{label}: " if args.opb else ""
             print(f"{prefix}base: {_fmt_base(res.best_base)}")
             print(f"{prefix}cost: {res.best_cost} ({args.cost})")
             guar = "yes" if res.optimal_guaranteed else "no"
@@ -352,6 +352,8 @@ def cmd_bench(args) -> int:
         problems = _gen_multisets(args.gen, args.seed, args.gen_max,
                                   args.gen_size)
     else:
+        if not Path(args.opb_dir).is_dir():
+            raise ToolError(f"--opb-dir {args.opb_dir}: not a directory")
         paths = sorted(Path(args.opb_dir).glob("*.opb"))
         if args.amplify_31:
             problems = _amplified_instances(paths, args.emit_opb)

@@ -12,14 +12,14 @@ nonzero threshold digit, R_{d+1} for threshold digit d.  The builder
 keeps one output per distinct and/or gate, so comparisons on one network
 share the lines they both read.
 
-Within one instance, constraints over the same term vector and base read
-one sorter network, each through its own comparison.  A constraint over the
-complemented vector, sum c*~l >= T as the second half of every ``=``
-is, says not (sum c*l >= sum c - T + 1), so it asserts the negated
-comparison on the same network.  That reading is sound only under full
-polarity: a monotone comparator only justifies a true output, so a false
-comparison does not mean a small sum, and a complemented vector builds
-its own network there.
+A builder keeps one sorter network per term vector and base, and every
+later constraint over them reads it through its own comparison.  A
+constraint over the complemented vector, sum c*~l >= T as the second half
+of every ``=`` is, says not (sum c*l >= sum c - T + 1), so it asserts the
+negated comparison on the same network.  That reading is sound only under
+full polarity: a monotone comparator only justifies a true output, so a
+false comparison does not mean a small sum, and a complemented vector
+builds its own network there.
 
 Literals are DIMACS-style signed integers; the TRUE and FALSE sentinels
 fold away structurally and never reach an emitted clause.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Container, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .cost import OPTIMAL_NETWORKS, cost_of
 from .mixedradix import Multiset, digits_of
@@ -113,6 +113,7 @@ class CnfBuilder:
         self.comparators = 0
         self.network_sizes: list[int] = []
         self.gates: dict[tuple, int] = {}  # and/or gate inputs -> its output
+        self.networks: dict[tuple, list[UnaryBus]] = {}  # (terms, base) -> sorted buses
         self.polarity = polarity
 
     def fresh(self) -> int:
@@ -282,44 +283,28 @@ def decompose(c: PbConstraint, base: Sequence[int]) -> list[UnaryBus]:
     return [tuple(b) for b in buses]
 
 
-def normalizer(sorted_bus: UnaryBus, radix: int, bld: CnfBuilder,
-               lines: Container[int]) -> tuple[UnaryBus, tuple[Lit, ...]]:
-    """Split a sorted bus into its value modulo ``radix`` and the carries.
-
-    Every radix-th output is a carry.  The remainder bus R has
-    min(radix - 1, m) literals for a bus of m, with R_i true exactly when
-    the bus value modulo radix is at least i, realized as the disjunction
-    over t of (value >= t*radix + i) and not (value >= (t+1)*radix).  The
-    lines R_i for m < i < radix would be constant FALSE and are left out.
-    Only the R_i with i in ``lines`` are built; the others hold None, which
-    no comparison may read.
+def normalizer(sorted_bus: UnaryBus, radix: int, i: int, bld: CnfBuilder) -> Lit:
+    """The remainder line R_i of a sorted bus: true exactly when the bus
+    value modulo ``radix`` is at least i, realized as the disjunction over
+    t of (value >= t*radix + i) and not (value >= (t+1)*radix).  It is
+    TRUE for i <= 0 and FALSE for i >= min(radix, m + 1) on a bus of m,
+    so a radix past the bus costs nothing, and radix m + 1 reads the bus
+    line itself.  Every radix-th output of the bus is a carry.
     """
     m = len(sorted_bus)
     r = radix
-    carries = tuple(sorted_bus[t * r - 1] for t in range(1, m // r + 1))
-    remainder: list[Lit | None] = []
-    for i in range(1, min(r, m + 1)):
-        if i not in lines:
-            remainder.append(None)
-            continue
-        windows: list[Lit] = []
-        t = 0
-        while t * r + i <= m:
-            reach = sorted_bus[t * r + i - 1]
-            stop = sorted_bus[(t + 1) * r - 1] if (t + 1) * r <= m else FALSE
-            windows.append(_and2(reach, neg(stop), bld))
-            t += 1
-        remainder.append(_or_many(windows, bld))
-    return tuple(remainder), carries
-
-
-def _bus_at_least(bus: UnaryBus, count: int) -> Lit:
-    """Literal for 'unary value of bus >= count'."""
-    if count <= 0:
+    if i <= 0:
         return TRUE
-    if count > len(bus):
+    if i >= min(r, m + 1):
         return FALSE
-    return bus[count - 1]
+    windows: list[Lit] = []
+    t = 0
+    while t * r + i <= m:
+        reach = sorted_bus[t * r + i - 1]
+        stop = sorted_bus[(t + 1) * r - 1] if (t + 1) * r <= m else FALSE
+        windows.append(_and2(reach, neg(stop), bld))
+        t += 1
+    return _or_many(windows, bld)
 
 
 def encode_geq(sorted_buses: Sequence[UnaryBus], base: Sequence[int],
@@ -328,17 +313,15 @@ def encode_geq(sorted_buses: Sequence[UnaryBus], base: Sequence[int],
     """Assert that the mixed radix number on a network's sorted buses is at
     least the number with the given digits, or below it when ``negated``:
     geq_j = (D_j > c_j) or (D_j >= c_j and geq_below_j), with D_j bus j
-    modulo base[j] below the top.  Each D_j is built only at the lines
-    read: c_j and, above the lowest nonzero digit, c_j + 1."""
+    modulo base[j] below the top.  Each D_j is read only at the lines
+    needed: c_j and, above the lowest nonzero digit, c_j + 1."""
     geq: Lit = TRUE
     for j, (bus, c) in enumerate(zip(sorted_buses, threshold_digits)):
-        if j < len(base):
-            bus = normalizer(bus, base[j], bld, (c,) if geq is TRUE else (c, c + 1))[0]
-        ge = _bus_at_least(bus, c)
-        if geq is TRUE:
-            geq = ge
-        else:
-            geq = _or_many([_bus_at_least(bus, c + 1), _and2(ge, geq, bld)], bld)
+        r = base[j] if j < len(base) else len(bus) + 1
+        ge = normalizer(bus, r, c, bld)
+        if geq is not TRUE:
+            ge = _or_many([normalizer(bus, r, c + 1, bld), _and2(ge, geq, bld)], bld)
+        geq = ge
     bld.add_clause([neg(geq) if negated else geq])
 
 
@@ -346,22 +329,29 @@ def encode_constraint(c: PbConstraint, base: Sequence[int],
                       bld: CnfBuilder) -> list[UnaryBus] | None:
     """Full pipeline for one constraint: decompose, sort each position
     (the carries of the previous position join its inputs), then compare
-    against the threshold.  Returns the sorted buses, which further
-    comparisons may read through ``encode_geq``, or None for a constraint
-    whose coefficients cannot reach the threshold: it emits a single
-    empty clause."""
+    against the threshold.  A network the builder already holds for the
+    term vector and base is read instead, or under full polarity the one
+    for the complemented vector, through the negated comparison.  Returns
+    the sorted buses, or None for a constraint whose coefficients cannot
+    reach the threshold: it emits a single empty clause."""
     base = tuple(base)
     if c.coefficient_sum < c.threshold:
         bld.add_clause([])
         return None
-    carries: tuple[Lit, ...] = ()
-    sorted_buses: list[UnaryBus] = []
-    for j, bus in enumerate(decompose(c, base)):
-        sorted_buses.append(sorting_network(bus + carries, bld))
-        if j < len(base):
-            carries = normalizer(sorted_buses[j], base[j], bld, ())[1]
-    encode_geq(sorted_buses, base, digits_of(c.threshold, base), bld)
-    return sorted_buses
+    key, threshold, negated = (c.terms, base), c.threshold, False
+    flipped = (tuple((k, -lit) for k, lit in c.terms), base)
+    if key not in bld.networks and bld.polarity == "full" and flipped in bld.networks:
+        key, threshold, negated = flipped, c.coefficient_sum - c.threshold + 1, True
+    if key not in bld.networks:
+        carries: tuple[Lit, ...] = ()
+        sorted_buses: list[UnaryBus] = []
+        for j, bus in enumerate(decompose(c, base)):
+            sorted_buses.append(sorting_network(bus + carries, bld))
+            if j < len(base):
+                carries = sorted_buses[j][base[j] - 1::base[j]]
+        bld.networks[key] = sorted_buses
+    encode_geq(bld.networks[key], base, digits_of(threshold, base), bld, negated)
+    return bld.networks[key]
 
 
 @dataclass
@@ -414,23 +404,20 @@ def encode_instance(
     the binary base (flagged in the stats) when ``fallback_binary`` is
     set, and otherwise keeps the best base found.  Constraints over one
     term vector and base read one sorter network, built by the first of
-    them; under full polarity so do those over its complement (see the
-    module docstring).  A reader's stats count its comparison and the
+    them; under full polarity so do those over its complement (see
+    ``encode_constraint``).  A reader's stats count its comparison and the
     remainder lines it reads that no earlier comparison built.
     """
     bld = CnfBuilder(num_input_vars, polarity=polarity)
     searched: dict[Multiset, tuple[tuple[int, ...], bool]] = {}
     forced = tuple(forced_base) if forced_base is not None else None
-    # (term vector, base) -> (first constraint over it, its sorted buses)
-    nets: dict[tuple, tuple[int, list[UnaryBus]]] = {}
+    first: dict[int, int] = {}  # id of a network's sorted buses -> who built it
     stats: list[ConstraintStats] = []
     for idx, pc in enumerate(constraints):
         c0, v0, n0 = len(bld.clauses), bld.num_vars, bld.comparators
         s0 = len(bld.network_sizes)
-        owner = None
         if pc.coefficient_sum < pc.threshold:  # no multiset: the sum may pass 2**63
             s, base, fellback = None, (), False
-            encode_constraint(pc, base, bld)
         else:
             s = Multiset.of(c for c, _ in pc.terms)
             if forced is None and s not in searched:
@@ -439,19 +426,12 @@ def encode_instance(
                                if res.timed_out and fallback_binary
                                else (res.best_base, False))
             base, fellback = searched[s] if forced is None else (forced, False)
-            flipped = tuple((c, -lit) for c, lit in pc.terms)
-            if (pc.terms, base) in nets:
-                owner, buses = nets[pc.terms, base]
-                encode_geq(buses, base, digits_of(pc.threshold, base), bld)
-            elif polarity == "full" and (flipped, base) in nets:
-                owner, buses = nets[flipped, base]
-                encode_geq(buses, base, digits_of(pc.coefficient_sum - pc.threshold + 1,
-                                                  base), bld, negated=True)
-            else:
-                nets[pc.terms, base] = (idx, encode_constraint(pc, base, bld))
+        buses = encode_constraint(pc, base, bld)
+        owner = idx if buses is None else first.setdefault(id(buses), idx)
         stats.append(ConstraintStats(
             idx, base, cfg.kind.value,
             None if s is None else cost_of(cfg.kind, s, base),
             len(bld.clauses) - c0, bld.num_vars - v0, bld.comparators - n0,
-            tuple(bld.network_sizes[s0:]), s is None, fellback, owner))
+            tuple(bld.network_sizes[s0:]), s is None, fellback,
+            None if owner == idx else owner))
     return Cnf(bld.num_vars, bld.clauses), stats

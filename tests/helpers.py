@@ -4,7 +4,8 @@ The oracles recompute results from first principles (explicit digit
 chains, full matrices, exhaustive enumeration) without touching the
 library's incremental or pruned code paths.  Two readers at the end
 expose the library's own per-position view, from the cost engine and
-from the emitted encoding, so tests can set it against the oracles.
+from the emitted encoding, so tests can set it against the oracles, and
+``normalize_bus`` lists every remainder line of one sorted bus.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import itertools
 
 from optibase.cost import BaseEval
-from optibase.encoder import CnfBuilder, PbConstraint, decompose, encode_constraint
+from optibase.encoder import (CnfBuilder, PbConstraint, decompose, encode_constraint,
+                              normalizer)
 
 F_TABLE = (0, 0, 1, 3, 5, 9, 12, 16, 19)
 
@@ -180,3 +182,11 @@ def emitted_columns(elements, base):
     encode_constraint(c, base, bld)
     sums = [len(bus) for bus in decompose(c, base)]
     return sums, [n - m for n, m in zip(bld.network_sizes, sums)]
+
+
+def normalize_bus(sorted_bus, radix, bld):
+    """Every remainder line the encoder's normalizer gives a sorted bus,
+    R_1 up to the last one not constant FALSE, and the bus's carries."""
+    rem = tuple(normalizer(sorted_bus, radix, i, bld)
+                for i in range(1, min(radix, len(sorted_bus) + 1)))
+    return rem, sorted_bus[radix - 1::radix]

@@ -13,7 +13,7 @@ from math import prod as product
 
 from optibase.cost import BaseEval, CostKind, comparator_count, cost_of
 from optibase.encoder import (CnfBuilder, PbConstraint, decompose,
-                              encode_constraint, normalizer, sorting_network)
+                              encode_constraint, sorting_network)
 from optibase.mixedradix import Multiset, digits_of
 from optibase.satcheck import Solver
 from optibase.search import SearchConfig, find_base, initial_best
@@ -195,8 +195,7 @@ def _per_network(c, base, sizes, bld):
         sorted_bus = sorting_network(buses[j] + carries, probe)
         out.append((len(buses[j]) + len(carries), probe.comparators - before))
         if j < len(base):
-            _, carries = normalizer(sorted_bus, base[j], probe,
-                                     range(1, base[j]))
+            carries = sorted_bus[base[j] - 1::base[j]]
     return out
 
 

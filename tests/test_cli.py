@@ -71,6 +71,17 @@ def test_find_base_from_opb(capsys, tmp_path):
     assert payload[0]["label"] == "constraint 0"
 
 
+def test_find_base_output_shape_follows_the_source(capsys, tmp_path):
+    # --opb gives a list and prefixed lines however many constraints it holds
+    path = tmp_path / "a.opb"
+    path.write_text(PSI_OPB)
+    code, out, _ = run(capsys, "find-base", "--opb", str(path), "--json")
+    assert code == 0
+    assert [p["label"] for p in json.loads(out)] == ["constraint 0"]
+    code, out, _ = run(capsys, "find-base", "--opb", str(path))
+    assert code == 0 and out.startswith("constraint 0: base: ")
+
+
 @pytest.mark.parametrize("text", ["* only a comment\n", "+1 x1 >= 0 ;\n"],
                          ids=["comments-only", "normalized-away"])
 def test_find_base_opb_without_terms(capsys, tmp_path, text):
@@ -533,6 +544,19 @@ def test_bench_empty_dir(capsys, tmp_path):
     assert code == 0
     lines = out_csv.read_text().strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("row_type,")
+
+
+@pytest.mark.parametrize("kind", ["missing", "plain-file"])
+def test_bench_opb_dir_must_be_a_directory(capsys, tmp_path, kind):
+    corpus = tmp_path / "corpus"
+    if kind == "plain-file":
+        corpus.write_text(PSI_OPB)
+    out_csv = tmp_path / "r.csv"
+    code, out, err = run(capsys, "bench", "--opb-dir", str(corpus),
+                         "--out", str(out_csv))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and str(corpus) in err
+    assert not out_csv.exists()
 
 
 def test_bench_config_errors_exit_1(capsys, tmp_path):

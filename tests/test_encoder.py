@@ -12,13 +12,13 @@ from optibase.cost import CostKind, comparator_count, cost_of
 from optibase.encoder import (FALSE, TRUE, CnfBuilder, PbConstraint, Cnf,
                               _batcher_pairs, comparator, decompose,
                               encode_constraint, encode_geq, encode_instance,
-                              neg, normalizer, sorting_network, to_dimacs)
+                              neg, sorting_network, to_dimacs)
 from optibase.mixedradix import Multiset, digits_of
 from optibase.opb import load_instance
 from optibase.satcheck import Solver
 from optibase.search import SearchConfig, find_base
 
-from helpers import constraint_value
+from helpers import constraint_value, normalize_bus
 
 PSI = PbConstraint(tuple((c, i + 1) for i, c in enumerate([2, 2, 2, 2, 5, 18])), 23)
 
@@ -116,24 +116,24 @@ def test_normalizer_shapes():
     # a 6-output network normalized by 3: carries y3, y6 and two remainder lines
     bld = CnfBuilder(6)
     bus = tuple(range(1, 7))
-    rem, carries = normalizer(bus, 3, bld, range(1, 3))
+    rem, carries = normalize_bus(bus, 3, bld)
     assert carries == (3, 6)
     assert len(rem) == 2
     # shorter than the radix: the identity, no clauses
     bld = CnfBuilder(2)
-    rem, carries = normalizer((1, 2), 5, bld, range(1, 5))
+    rem, carries = normalize_bus((1, 2), 5, bld)
     assert carries == ()
     assert rem == (1, 2)
     assert not bld.clauses
     # exactly the radix: one carry, remainder gated by its negation
     bld = CnfBuilder(3)
-    rem, carries = normalizer((1, 2, 3), 3, bld, range(1, 3))
+    rem, carries = normalize_bus((1, 2, 3), 3, bld)
     assert carries == (3,)
     assert len(rem) == 2 and len(bld.clauses) == 6
     # a radix far past the bus: remainder lines beyond the bus would be
     # constant FALSE, so the work is bounded by the bus, not the radix
     bld = CnfBuilder(3)
-    rem, carries = normalizer((1, 2, 3), 10**6, bld, range(1, 10**6))
+    rem, carries = normalize_bus((1, 2, 3), 10**6, bld)
     assert rem == (1, 2, 3) and carries == ()
     assert not bld.clauses and bld.num_vars == 3
 
@@ -144,7 +144,7 @@ def test_normalizer_semantics_exhaustive(m, r):
     # feed every sorted input pattern through a real network + normalizer
     bld = CnfBuilder(m)
     sorted_bus = sorting_network(tuple(range(1, m + 1)), bld)
-    rem, carries = normalizer(sorted_bus, r, bld, range(1, r))
+    rem, carries = normalize_bus(sorted_bus, r, bld)
     assert len(rem) == min(r - 1, m)
     assert len(carries) == m // r
     solver = Solver(bld.clauses, bld.num_vars)
@@ -212,6 +212,33 @@ def test_encode_geq_repeated_comparison_reuses_its_gates():
     encode_geq(buses, base, digits_of(PSI.threshold, base), bld)
     assert len(bld.clauses) == clauses + 1 and bld.num_vars == num_vars
     assert bld.clauses[-1] == bld.clauses[clauses - 1]
+
+
+@pytest.mark.parametrize("polarity", ["full", "monotone"])
+def test_one_builder_shares_networks(polarity):
+    terms = ((3, 1), (5, -2), (6, 3), (7, 4))
+    flipped = tuple((c, -lit) for c, lit in terms)
+    cons = [PbConstraint(terms, 9), PbConstraint(terms, 14), PbConstraint(flipped, 10)]
+    base = (2, 3)
+    bld = CnfBuilder(4, polarity=polarity)
+    grown, units = [], []
+    for c in cons:
+        encode_constraint(c, base, bld)
+        grown.append((bld.comparators, len(bld.network_sizes)))
+        units.append(len(bld.clauses) - 1)
+    assert grown[1] == grown[0]
+    # a monotone comparator cannot back the negated comparison: own network
+    assert (grown[2] == grown[0]) == (polarity == "full")
+    # the combined CNF, each comparison's unit clause held out and assumed
+    assert all(len(bld.clauses[u]) == 1 for u in units)
+    solver = Solver([cl for i, cl in enumerate(bld.clauses) if i not in units],
+                    bld.num_vars)
+    for bits in itertools.product([False, True], repeat=4):
+        inputs = [v if b else -v for v, b in zip(range(1, 5), bits)]
+        model = dict(zip(range(1, 5), bits))
+        for c, u in zip(cons, units):
+            want = constraint_value(c.terms, model) >= c.threshold
+            assert (solver.solve(inputs + bld.clauses[u]) is not None) == want
 
 
 def test_encode_constraint_running_example_structure():
@@ -303,8 +330,7 @@ def test_sortedness_of_all_buses_in_models():
             sorted_bus = sorting_network(buses[j] + carries, bld)
             out_buses.append(sorted_bus)
             if j < len(base):
-                rem, carries = normalizer(sorted_bus, base[j], bld,
-                                           range(1, base[j]))
+                rem, carries = normalize_bus(sorted_bus, base[j], bld)
                 out_buses.append(rem)
         solver = Solver(bld.clauses, bld.num_vars)
         for bits in itertools.product([False, True], repeat=len(ids)):

@@ -27,7 +27,8 @@ def test_tracer_wraps_every_traced_attribute_of_an_encode(tmp_path):
     originals = [getattr(_owner(module, cls), attr)
                  for module, cls, attr, _ in tracer.TRACED]
     src = tmp_path / "t.opb"
-    src.write_text("+16 x1 +30 x2 +54 x3 +60 x4 >= 87 ;\n")
+    # the second half of the = reads the first half's network
+    src.write_text("+16 x1 +30 x2 +54 x3 +60 x4 >= 87 ;\n+3 x1 +5 x5 +2 x6 = 5 ;\n")
     tr = tracer.Tracer()
     try:
         tr.install()
@@ -42,3 +43,5 @@ def test_tracer_wraps_every_traced_attribute_of_an_encode(tmp_path):
     metrics = tracer.layer_metrics(tr)
     assert metrics["search.calls"] >= 1
     assert metrics["cost.child_metrics_calls"] >= 1
+    header = (tmp_path / "t.cnf").read_text().split("p cnf ")[1].split()
+    assert metrics["encoder.clauses"] == int(header[1])
