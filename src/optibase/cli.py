@@ -33,6 +33,9 @@ EXIT_STATIC_UNSAT = 10
 
 CLUSTER_BASE = 1.9745
 
+# the CLI bounds every base search; SearchConfig's own default is no timeout
+SEARCH_TIMEOUT_S = 600.0
+
 class UsageError(Exception):
     pass
 
@@ -50,15 +53,16 @@ def _search_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cost", choices=sorted(k.value for k in CostKind),
                    default="digits",
                    help="cost function to minimize (default digits)")
-    p.add_argument("--algo", choices=list(ALGORITHMS), default="hashbnb")
-    p.add_argument("--max-elem", type=int, default=10_000,
-                   help="largest base element considered (default 10000)")
+    p.add_argument("--algo", choices=list(ALGORITHMS),
+                   default=SearchConfig.algorithm)
+    p.add_argument("--max-elem", type=int, default=SearchConfig.max_elem,
+                   help="largest base element considered (default %(default)s)")
     p.add_argument("--primes-only", action=argparse.BooleanOptionalAction,
                    default=None,
                    help="restrict base elements to primes "
                         "(default: on for digits, off for carry/comp)")
-    p.add_argument("--timeout", type=float, default=600.0,
-                   help="base-search timeout in seconds (default 600)")
+    p.add_argument("--timeout", type=float, default=SEARCH_TIMEOUT_S,
+                   help="base-search timeout in seconds (default %(default)g)")
 
 
 def _search_config(args) -> SearchConfig:
@@ -276,10 +280,9 @@ def _gen_multisets(n: int, seed: int, gen_max: int, gen_size: int):
 
 
 def _amplified_instances(paths, emit_dir: str | None):
-    """Scaled copies of each instance: coefficients and thresholds times
-    31**i for i in 0..5, plus a unit slack term on a fresh variable so the
-    scale factor would survive gcd reduction."""
-    problems = []
+    """(name, constraints) for scaled copies of each instance: coefficients
+    and thresholds times 31**i for i in 0..5, plus a unit slack term on a
+    fresh variable so the scale factor would survive gcd reduction."""
     for path in paths:
         inst = load_instance(Path(path).read_text())
         top = max((int(n[1:]) for n in inst.names), default=0)
@@ -296,22 +299,22 @@ def _amplified_instances(paths, emit_dir: str | None):
                 Path(emit_dir).mkdir(parents=True, exist_ok=True)
                 text = instance_to_opb(PbInstance(names, scaled, []))
                 (Path(emit_dir) / f"{name}.opb").write_text(text)
-            for ci, pc in enumerate(scaled):
-                elems = _bench_multiset(pc)
-                if elems:
-                    problems.append((f"{name}:{ci}", elems))
+            yield name, scaled
+
+
+def _bench_problems(instances) -> list:
+    """(stem:ci, coefficients) for each constraint of each (stem,
+    constraints) pair.  Pure cardinality constraints (all coefficients 1)
+    carry no base-search content and are dropped from corpora, matching how
+    evaluation corpora are prepared."""
+    problems = []
+    for stem, constraints in instances:
+        for ci, pc in enumerate(constraints):
+            # unchecked: _bench_one turns a refused multiset into an error row
+            elems = tuple(sorted(coef for coef, _ in pc.terms))
+            if elems and elems[-1] != 1:
+                problems.append((f"{stem}:{ci}", elems))
     return problems
-
-
-def _bench_multiset(pc) -> tuple[int, ...] | None:
-    """Coefficients of one constraint as a bench problem; pure cardinality
-    constraints (all coefficients 1) carry no base-search content and are
-    dropped from corpora, matching how evaluation corpora are prepared."""
-    if not pc.terms:
-        return None
-    # unchecked here: _bench_one turns a refused multiset into an error row
-    elems = tuple(sorted(coef for coef, _ in pc.terms))
-    return None if elems[-1] == 1 else elems
 
 
 def _config_cells(cfg: SearchConfig) -> dict:
@@ -336,9 +339,8 @@ def _bench_one(name, elems, cfg):
                    nodes_pruned=res.nodes_pruned,
                    time_s=round(res.elapsed, 6))
     except Exception as e:  # keep going past per-problem failures
-        row.update(status="error", best_cost="", base="",
-                   nodes_expanded="", nodes_pruned="", time_s="",
-                   error=str(e)[:120])
+        # the writer's restval blanks the result cells
+        row.update(status="error", error=str(e)[:120])
     return row
 
 
@@ -356,15 +358,11 @@ def cmd_bench(args) -> int:
             raise ToolError(f"--opb-dir {args.opb_dir}: not a directory")
         paths = sorted(Path(args.opb_dir).glob("*.opb"))
         if args.amplify_31:
-            problems = _amplified_instances(paths, args.emit_opb)
+            instances = _amplified_instances(paths, args.emit_opb)
         else:
-            problems = []
-            for path in paths:
-                inst = load_instance(path.read_text())
-                for ci, pc in enumerate(inst.constraints):
-                    elems = _bench_multiset(pc)
-                    if elems:
-                        problems.append((f"{path.stem}:{ci}", elems))
+            instances = ((path.stem, load_instance(path.read_text()).constraints)
+                         for path in paths)
+        problems = _bench_problems(instances)
 
     primes = None if args.primes == "auto" else args.primes == "on"
     configs = []
@@ -447,12 +445,12 @@ def build_parser() -> _Parser:
                    help="largest element of generated multisets")
     p.add_argument("--gen-size", type=int, default=6,
                    help="largest size of generated multisets")
-    p.add_argument("--algos", default="hashbnb")
+    p.add_argument("--algos", default=SearchConfig.algorithm)
     p.add_argument("--costs", default="digits")
-    p.add_argument("--max-elems", default="10000")
+    p.add_argument("--max-elems", default=str(SearchConfig.max_elem))
     p.add_argument("--primes", choices=["auto", "on", "off"], default="auto")
-    p.add_argument("--timeout", type=float, default=600.0,
-                   help="per-search timeout (default 600)")
+    p.add_argument("--timeout", type=float, default=SEARCH_TIMEOUT_S,
+                   help="per-search timeout (default %(default)g)")
     p.add_argument("--out", default="-", help="CSV path or - for stdout")
     p.add_argument("--amplify-31", action="store_true",
                    help="bench scaled copies with coefficients times 31^i, i=0..5")

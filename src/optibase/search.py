@@ -1,9 +1,10 @@
-"""Search for a minimum-cost base.  ``find_base(s, cfg)`` is the one entry
-point, and ``cfg.algorithm`` names the way: pruned depth-first search
+"""Search for a minimum-cost base.  ``find_base(s, cfg)`` is the one driver,
+and ``cfg.algorithm`` names the visiting order: pruned depth-first search
 ("dfs"), best-first branch and bound ("bnb"), branch and bound keeping one
 frontier base per product ("hashbnb"), or exhaustive traversal ("brute"),
-the ground-truth oracle.  bnb and hashbnb share one frontier: a heap of
-unbuilt children and a dict from each slot to the key resident in it.
+the ground-truth oracle.  The driver owns what they share: the start, the
+clock, the node counts, the best base so far and the verdict.  A result is
+optimal unless the clock ran out or hashbnb ran on a cost other than digits.
 
 The search space is the tree of non-redundant bases for a multiset S: the
 root is the empty base and a node B has one child B+(p,) for every
@@ -96,23 +97,6 @@ def initial_best(s: Multiset) -> Base:
     return (2,) * (s.max.bit_length() - 1)
 
 
-def _initial_candidates(root: BaseEval, kind: CostKind) -> tuple[Base, int]:
-    """Upper bound to start from: the binary base, or the root itself when
-    the empty base is already cheaper (possible under the carry-aware
-    costs, where extending can add more carry bits than it saves).
-    Refuses comp searches whose costs could leave int64."""
-    if kind is CostKind.NUM_COMP and root.msd_sum >= COMP_SUM_LIMIT:
-        raise ValueError(
-            f"the comp cost is limited to multisets with sum < 2**51, "
-            f"got {root.msd_sum}")
-    best = initial_best(root.multiset)
-    best_cost = cost_of(kind, root.multiset, best)
-    root_cost = root.cost(kind)
-    if root_cost < best_cost:
-        return (), root_cost
-    return best, best_cost
-
-
 def _children(state: BaseEval, radices: np.ndarray, kind: CostKind,
               bound: int):
     """(p, alpha, cost) for each extension of ``state`` whose alpha is within
@@ -128,133 +112,120 @@ def _children(state: BaseEval, radices: np.ndarray, kind: CostKind,
             len(ps) - len(keep))
 
 
-def _expired(t0: float, timeout: float | None) -> bool:
-    return timeout is not None and time.monotonic() - t0 > timeout
+class _Timeout(Exception):
+    """The search's clock ran out before an expansion."""
 
 
-def _dfs(s: Multiset, cfg: SearchConfig) -> SearchResult:
+class _Run:
+    """One search's start, clock, node counts and best base so far.  Its
+    start refuses before it builds the radix array; its first bound is the
+    binary base, or the root if a carry-aware cost makes that cheaper."""
+
+    def __init__(self, s: Multiset, cfg: SearchConfig):
+        if cfg.algorithm == "brute" and s.max > BRUTE_FORCE_MAX:
+            raise ValueError(
+                f"brute-force search is limited to multisets with max <= "
+                f"{BRUTE_FORCE_MAX}, got {s.max}")
+        self.cfg = cfg
+        self.t0 = time.monotonic()
+        self.root = BaseEval.root(s)
+        if cfg.kind is CostKind.NUM_COMP and self.root.msd_sum >= COMP_SUM_LIMIT:
+            raise ValueError(
+                f"the comp cost is limited to multisets with sum < 2**51, "
+                f"got {self.root.msd_sum}")
+        binary = initial_best(s)
+        self.best_base, self.best_cost = binary, cost_of(cfg.kind, s, binary)
+        self.offer((), self.root.cost(cfg.kind))
+        self.radices = radix_array(s, cfg)
+        self.expanded = 0
+        self.pruned = 0
+
+    def expand(self) -> None:
+        """Count one expansion, unless the clock has run out."""
+        timeout = self.cfg.timeout
+        if timeout is not None and time.monotonic() - self.t0 > timeout:
+            raise _Timeout
+        self.expanded += 1
+
+    def offer(self, base: Base, cost: int) -> None:
+        """Keep ``base`` if it is cheaper than the best so far."""
+        if cost < self.best_cost:
+            self.best_base, self.best_cost = base, cost
+
+    def children(self, state: BaseEval):
+        """(p, alpha, cost) for each child of ``state`` whose alpha is within
+        the best cost when it is taken: offers may lower it after the cut."""
+        children, cut = _children(state, self.radices, self.cfg.kind,
+                                  self.best_cost)
+        self.pruned += cut
+        for child in children:
+            if child[1] > self.best_cost:
+                self.pruned += 1
+            else:
+                yield child
+
+
+def _dfs(run: _Run) -> None:
     """Depth-first traversal with heuristic pruning: a child is cut when
     its cost underestimate already exceeds the best cost seen."""
-    kind = cfg.kind
-    t0 = time.monotonic()
-    root = BaseEval.root(s)
-    best_base, best_cost = _initial_candidates(root, kind)
-    radices = radix_array(s, cfg)
-    expanded = 0
-    pruned = 0
-    timed_out = False
-
     def visit(state: BaseEval) -> None:
-        nonlocal best_base, best_cost, expanded, pruned, timed_out
-        if timed_out or _expired(t0, cfg.timeout):
-            timed_out = True
-            return
-        expanded += 1
-        # children over the entry bound stay over any tightened bound
-        children, cut = _children(state, radices, kind, best_cost)
-        pruned += cut
-        for p, alpha, cost in children:
-            if timed_out:
-                return
-            if alpha > best_cost:
-                pruned += 1
-                continue
+        run.expand()
+        for p, _, cost in run.children(state):
             child = state.extend(p)
-            if cost < best_cost:
-                best_base, best_cost = child.base, cost
+            run.offer(child.base, cost)
             visit(child)
 
-    visit(root)
-    return SearchResult(best_base, best_cost, expanded, pruned,
-                        time.monotonic() - t0, not timed_out, timed_out, "dfs")
+    visit(run.root)
 
 
-def _queue_search(s: Multiset, cfg: SearchConfig) -> SearchResult:
+def _queue_search(run: _Run) -> None:
     """Best-first branch and bound over a heap of (key, parent, p), where
     the child ``parent.extend(p)`` is built only on pop.  The key (alpha,
     product, length, base) orders the heap and is unique.  Each slot, the
     product under hashbnb and the base under bnb, holds one resident key: a
     push loses to a resident of no larger alpha, and a popped entry that is
-    no longer resident is skipped.  hashbnb is optimal for digits only."""
-    kind = cfg.kind
-    hashed = cfg.algorithm == "hashbnb"
-    t0 = time.monotonic()
-    root = BaseEval.root(s)
-    best_base, best_cost = _initial_candidates(root, kind)
-    radices = radix_array(s, cfg)
-    root_key = (root.alpha(kind), 1, 0, ())
-    heap = [(root_key, root, None)]
+    no longer resident is skipped."""
+    hashed = run.cfg.algorithm == "hashbnb"
+    root_key = (run.root.alpha(run.cfg.kind), 1, 0, ())
+    heap = [(root_key, run.root, None)]
     resident = {1 if hashed else (): root_key}
-    expanded = 0
-    pruned = 0
-    timed_out = False
 
-    while heap and heap[0][0][0] < best_cost:
+    while heap and heap[0][0][0] < run.best_cost:
         key, parent, p = heappop(heap)
         slot = key[1] if hashed else key[3]
         if resident.get(slot) is not key:
             continue
         del resident[slot]
-        if _expired(t0, cfg.timeout):
-            timed_out = True
-            break
+        run.expand()
         state = parent if p is None else parent.extend(p)
-        expanded += 1
-        children, cut = _children(state, radices, kind, best_cost)
-        pruned += cut
         base, prod, length = state.base, state.prod, len(state.base) + 1
-        for p, alpha, cost in children:
-            if alpha > best_cost:
-                pruned += 1
-                continue
+        for p, alpha, cost in run.children(state):
             child_base = base + (p,)
             child_prod = prod * p
             slot = child_prod if hashed else child_base
             old = resident.get(slot)
             if old is not None and old[0] <= alpha:
-                pruned += 1
+                run.pruned += 1
             else:
                 key = (alpha, child_prod, length, child_base)
                 resident[slot] = key
                 heappush(heap, (key, state, p))
-            if cost < best_cost:
-                best_base, best_cost = child_base, cost
-
-    guaranteed = not timed_out and (not hashed or kind is CostKind.SUM_DIGITS)
-    return SearchResult(best_base, best_cost, expanded, pruned,
-                        time.monotonic() - t0, guaranteed, timed_out,
-                        cfg.algorithm)
+            run.offer(child_base, cost)
 
 
-def _brute_force(s: Multiset, cfg: SearchConfig) -> SearchResult:
-    """Exhaustive traversal of the configured base tree; no pruning."""
-    if s.max > BRUTE_FORCE_MAX:
-        raise ValueError(
-            f"brute-force search is limited to multisets with max <= "
-            f"{BRUTE_FORCE_MAX}, got {s.max}")
-    kind = cfg.kind
-    t0 = time.monotonic()
-    root = BaseEval.root(s)
-    best_base, best_cost = (), root.cost(kind)
-    radices = radix_array(s, cfg)
-    expanded = 0
-    timed_out = False
+def _brute_force(run: _Run) -> None:
+    """Exhaustive traversal of the configured base tree; no pruning.  It
+    starts from the root, not the binary base, as an independent oracle."""
+    kind = run.cfg.kind
+    run.best_base, run.best_cost = (), run.root.cost(kind)
 
     def visit(state: BaseEval) -> None:
-        nonlocal best_base, best_cost, expanded, timed_out
-        if timed_out or _expired(t0, cfg.timeout):
-            timed_out = True
-            return
-        expanded += 1
-        c = state.cost(kind)
-        if c < best_cost:
-            best_base, best_cost = state.base, c
-        for p in extenders(radices, state.prod, s):
+        run.expand()
+        run.offer(state.base, state.cost(kind))
+        for p in extenders(run.radices, state.prod, state.multiset):
             visit(state.extend(int(p)))
 
-    visit(root)
-    return SearchResult(best_base, best_cost, expanded, 0,
-                        time.monotonic() - t0, not timed_out, timed_out, "brute")
+    visit(run.root)
 
 
 ALGORITHMS = {"dfs": _dfs, "bnb": _queue_search,
@@ -262,5 +233,14 @@ ALGORITHMS = {"dfs": _dfs, "bnb": _queue_search,
 
 
 def find_base(s: Multiset, cfg: SearchConfig) -> SearchResult:
-    """Run the configured algorithm."""
-    return ALGORITHMS[cfg.algorithm](s, cfg)
+    """Run the configured algorithm from the shared start."""
+    run = _Run(s, cfg)
+    try:
+        ALGORITHMS[cfg.algorithm](run)
+        timed_out = False
+    except _Timeout:
+        timed_out = True
+    exact = cfg.algorithm != "hashbnb" or cfg.kind is CostKind.SUM_DIGITS
+    return SearchResult(run.best_base, run.best_cost, run.expanded,
+                        run.pruned, time.monotonic() - run.t0,
+                        not timed_out and exact, timed_out, cfg.algorithm)

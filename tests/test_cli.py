@@ -681,3 +681,22 @@ def test_find_base_opb_oversized_constraint_goes_on(capsys, tmp_path):
     code, out, err = run(capsys, "find-base", "--opb", str(path))
     assert code == 1 and "error: constraint 0:" in err
     assert "constraint 1: cost: 8 (digits)" in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--set", "1000000000000,3", "--algo", "brute"],
+     "brute-force search is limited to multisets with max <= 10000"),
+    (["--set", f"{2**61},{2**61 - 12345},{3**38}", "--cost", "comp"],
+     "the comp cost is limited to multisets with sum < 2**51"),
+], ids=["brute", "comp"])
+def test_search_refusals_come_before_the_radix_array(argv, message):
+    # a radix array up to 10^12 cannot be allocated under the 1 GiB cap;
+    # each search's own refusal comes first
+    proc = subprocess.run(
+        [sys.executable, "-m", "optibase.cli", "find-base", *argv,
+         "--max-elem", "1000000000000"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        preexec_fn=_cap_address_space)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {message}")

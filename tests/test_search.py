@@ -1,9 +1,12 @@
+import itertools
 import random
+import types
 from math import prod as product
 
 import numpy as np
 import pytest
 
+from optibase import search
 from optibase.cost import BaseEval, CostKind, cost_of
 from optibase.mixedradix import Multiset
 from optibase.search import (ALGORITHMS, SearchConfig, extenders, find_base,
@@ -321,3 +324,60 @@ def test_comp_search_refuses_sums_past_its_int64_bound():
     for algo in ("hashbnb", "bnb", "dfs"):
         r = find_base(s, cfg_for("comp", max_elem=16, algo=algo))
         assert r.best_cost == cost_oracle("comp", s.elements, r.best_base)
+
+
+# A fake clock reads 0, 1, 2, ... so a search with timeout t expands t nodes
+# and stops at the next expansion: (base, cost, expanded, pruned, timed_out,
+# optimal_guaranteed) for [16, 30, 54, 60, 97, 1000, 4321], max_elem 5000.
+BIN12 = (2,) * 12
+CLOCK_STOPPED = {
+    ("dfs", "digits", 0): (BIN12, 27, 0, 0, True, False),
+    ("dfs", "digits", 3): (BIN12, 27, 3, 7541, True, False),
+    ("dfs", "digits", 10): (BIN12, 27, 10, 8569, True, False),
+    ("dfs", "carry", 0): (BIN12, 47, 0, 0, True, False),
+    ("dfs", "carry", 3): (BIN12, 47, 3, 7524, True, False),
+    ("dfs", "carry", 10): (BIN12, 47, 10, 8502, True, False),
+    ("dfs", "comp", 0): (BIN12, 78, 0, 0, True, False),
+    ("dfs", "comp", 3): (BIN12, 78, 3, 7543, True, False),
+    ("dfs", "comp", 10): (BIN12, 78, 10, 8579, True, False),
+    ("bnb", "digits", 0): (BIN12, 27, 0, 0, True, False),
+    ("bnb", "digits", 3): (BIN12, 27, 3, 7900, True, False),
+    ("bnb", "digits", 10): (BIN12, 27, 10, 13223, True, False),
+    ("bnb", "carry", 0): (BIN12, 47, 0, 0, True, False),
+    ("bnb", "carry", 3): (BIN12, 47, 3, 7884, True, False),
+    ("bnb", "carry", 10): (BIN12, 47, 10, 13527, True, False),
+    ("bnb", "comp", 0): (BIN12, 78, 0, 0, True, False),
+    ("bnb", "comp", 3): (BIN12, 78, 3, 7543, True, False),
+    ("bnb", "comp", 10): (BIN12, 78, 10, 12723, True, False),
+    ("hashbnb", "digits", 0): (BIN12, 27, 0, 0, True, False),
+    ("hashbnb", "digits", 3): (BIN12, 27, 3, 7901, True, False),
+    ("hashbnb", "digits", 10): (BIN12, 27, 10, 12134, True, False),
+    ("hashbnb", "carry", 0): (BIN12, 47, 0, 0, True, False),
+    ("hashbnb", "carry", 3): (BIN12, 47, 3, 7885, True, False),
+    ("hashbnb", "carry", 10): ((2, 2, 3, 40), 45, 10, 12285, True, False),
+    ("hashbnb", "comp", 0): (BIN12, 78, 0, 0, True, False),
+    ("hashbnb", "comp", 3): (BIN12, 78, 3, 7543, True, False),
+    ("hashbnb", "comp", 10): (BIN12, 78, 10, 11881, True, False),
+    ("brute", "digits", 0): ((), 5578, 0, 0, True, False),
+    ("brute", "digits", 3): ((2, 2), 1397, 3, 0, True, False),
+    ("brute", "digits", 10): ((2, 2, 2, 2, 2, 2, 2, 2, 2), 34, 10, 0, True, False),
+    ("brute", "carry", 0): ((), 5578, 0, 0, True, False),
+    ("brute", "carry", 3): ((2, 2), 1399, 3, 0, True, False),
+    ("brute", "carry", 10): ((2, 2, 2, 2, 2, 2, 2, 2, 2), 53, 10, 0, True, False),
+    ("brute", "comp", 0): ((), 223119, 0, 0, True, False),
+    ("brute", "comp", 3): ((2, 2), 39732, 3, 0, True, False),
+    ("brute", "comp", 10): ((2, 2, 2, 2, 2, 2, 2, 2, 2), 116, 10, 0, True, False),
+}
+
+
+@pytest.mark.parametrize("algo,kind,timeout", sorted(CLOCK_STOPPED))
+def test_search_stopped_by_its_clock(monkeypatch, algo, kind, timeout):
+    ticks = itertools.count()
+    monkeypatch.setattr(search, "time", types.SimpleNamespace(
+        monotonic=lambda: float(next(ticks))))
+    r = find_base(Multiset.of([16, 30, 54, 60, 97, 1000, 4321]),
+                  cfg_for(kind, max_elem=5000, primes=False, algo=algo,
+                          timeout=timeout))
+    assert (r.best_base, r.best_cost, r.nodes_expanded, r.nodes_pruned,
+            r.timed_out, r.optimal_guaranteed) \
+        == CLOCK_STOPPED[algo, kind, timeout]
