@@ -124,7 +124,7 @@ def cmd_find_base(args) -> int:
             try:
                 s = coefficient_multiset(pc)
                 results.append((label, s, find_base(s, cfg)))
-            except ValueError as e:
+            except (ValueError, MemoryError) as e:
                 print(f"error: {label}: {e}", file=sys.stderr)
                 results.append((label, None, str(e)))
     if args.json:

@@ -17,6 +17,11 @@ an admissible bound ``alpha`` (partial cost plus a heuristic) that never
 overestimates the cost of any extension.  All values are integers; the
 only float is the bit length of a comp network size, which is exact.
 
+A state depends on its base's product P alone but for its partial cost:
+with L(P) = sum m_j * (v_j mod P), L(P * p) = L(P) + P * col and carry_in
+is L(P) // P.  Alpha less the partial cost is fixed by P under every kind:
+of two bases with one product, the lower alpha is cheaper when extended.
+
 ``within`` cuts candidates before ``child_metrics`` divides, in two steps
 that drop only children whose alpha is above the bound.  Both read one
 column budget: the new column may hold ``room`` digits, and the values

@@ -1,10 +1,9 @@
 """Search for a minimum-cost base.  ``find_base(s, cfg)`` is the one driver,
 and ``cfg.algorithm`` names the visiting order: pruned depth-first search
-("dfs"), best-first branch and bound ("bnb"), branch and bound keeping one
-frontier base per product ("hashbnb"), or exhaustive traversal ("brute"),
-the ground-truth oracle.  The driver owns what they share: the start, the
-clock, the node counts, the best base so far and the verdict.  A result is
-optimal unless the clock ran out or hashbnb ran on a cost other than digits.
+("dfs"), best-first branch and bound ("bnb"), best-first search that
+expands each product once ("hashbnb"), or exhaustive traversal ("brute"),
+the ground-truth oracle.  The driver owns the start, the clock, the node
+counts, the best base so far and the verdict: optimal unless it timed out.
 
 The search space is the tree of non-redundant bases for a multiset S: the
 root is the empty base and a node B has one child B+(p,) for every
@@ -137,8 +136,7 @@ class _Run:
         self.best_base, self.best_cost = binary, cost_of(cfg.kind, s, binary)
         self.offer((), self.root.cost(cfg.kind))
         self.radices = radix_array(s, cfg)
-        self.expanded = 0
-        self.pruned = 0
+        self.expanded = self.pruned = 0
 
     def expand(self) -> None:
         """Count one expansion, unless the clock has run out."""
@@ -180,11 +178,11 @@ def _dfs(run: _Run) -> None:
 
 def _queue_search(run: _Run) -> None:
     """Best-first branch and bound over a heap of (key, parent, p), where
-    the child ``parent.extend(p)`` is built only on pop.  The key (alpha,
-    product, length, base) orders the heap and is unique.  Each slot, the
-    product under hashbnb and the base under bnb, holds one resident key: a
-    push loses to a resident of no larger alpha, and a popped entry that is
-    no longer resident is skipped."""
+    the child ``parent.extend(p)`` is built only on pop; the unique key
+    (alpha, product, length, base) orders the heap.  Each slot, the product
+    under hashbnb and the base under bnb, keeps its resident key after the
+    pop: a push loses to a resident of no larger alpha, a popped entry no
+    longer resident is skipped, and hashbnb expands each product once."""
     hashed = run.cfg.algorithm == "hashbnb"
     root_key = (run.root.alpha(run.cfg.kind), 1, 0, ())
     heap = [(root_key, run.root, None)]
@@ -195,13 +193,11 @@ def _queue_search(run: _Run) -> None:
         slot = key[1] if hashed else key[3]
         if resident.get(slot) is not key:
             continue
-        del resident[slot]
         run.expand()
         state = parent if p is None else parent.extend(p)
         base, prod, length = state.base, state.prod, len(state.base) + 1
         for p, alpha, cost in run.children(state):
-            child_base = base + (p,)
-            child_prod = prod * p
+            child_base, child_prod = base + (p,), prod * p
             slot = child_prod if hashed else child_base
             old = resident.get(slot)
             if old is not None and old[0] <= alpha:
@@ -240,7 +236,6 @@ def find_base(s: Multiset, cfg: SearchConfig) -> SearchResult:
         timed_out = False
     except _Timeout:
         timed_out = True
-    exact = cfg.algorithm != "hashbnb" or cfg.kind is CostKind.SUM_DIGITS
     return SearchResult(run.best_base, run.best_cost, run.expanded,
                         run.pruned, time.monotonic() - run.t0,
-                        not timed_out and exact, timed_out, cfg.algorithm)
+                        not timed_out, timed_out, cfg.algorithm)

@@ -216,6 +216,25 @@ def test_find_base_reports_a_radix_array_too_large(cost):
     assert "Traceback" not in proc.stderr
 
 
+def test_find_base_opb_radix_array_too_large_goes_on(tmp_path):
+    # constraint 0's radix array up to 10^12 cannot be allocated under the
+    # 1 GiB cap; it gets an error entry and constraint 1 is still searched
+    path = tmp_path / "a.opb"
+    path.write_text("+1000000000000 x1 +3 x2 >= 5 ;\n" + PSI_OPB)
+    proc = subprocess.run(
+        [sys.executable, "-m", "optibase.cli", "find-base", "--opb",
+         str(path), "--json", "--max-elem", "1000000000000", "--cost",
+         "carry"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        preexec_fn=_cap_address_space)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: constraint 0: ")
+    payload = json.loads(proc.stdout)
+    assert payload[0]["label"] == "constraint 0" and "error" in payload[0]
+    assert payload[1]["label"] == "constraint 1" and payload[1]["cost"] == 8
+
+
 def test_encode_large_radix_counts(capsys, tmp_path):
     src = tmp_path / "t.opb"
     src.write_text("+6 x1 +10 x2 >= 7 ;\n")

@@ -444,6 +444,49 @@ def test_children_cut_matches_uncut_kernel(ev, rng, max_elem, primes):
             assert (edge_alphas[~kept] > bound).all()
 
 
+@st.composite
+def _bases_of_one_product(draw):
+    """A multiset (small, or at the int64 edges) and two non-redundant bases
+    with one product: a base, and a reordering of it with two neighbouring
+    radices possibly merged into one."""
+    if draw(st.booleans()):
+        elems = draw(st.lists(st.integers(1, 10**4), min_size=1, max_size=8))
+    else:
+        elems = draw(st.sampled_from(_EDGE_TOP + _EDGE_COMP))
+    s = Multiset.of(elems)
+    base, prod = [], 1
+    for _ in range(draw(st.integers(2, 5))):
+        cap = s.max // prod
+        if cap < 2:
+            break
+        p = draw(st.integers(2, min(cap, 9)) | st.integers(2, cap))
+        base.append(p)
+        prod *= p
+    other = draw(st.permutations(base))
+    if len(other) >= 2 and draw(st.booleans()):
+        i = draw(st.integers(0, len(other) - 2))
+        other[i:i + 2] = [other[i] * other[i + 1]]
+    return s, tuple(base), tuple(other)
+
+
+@_PROPERTY
+@given(_bases_of_one_product())
+def test_one_product_fixes_the_state_but_for_the_partial_cost(case):
+    # L(P) = sum m_j * (v_j mod P) gives L(P * p) = L(P) + P * col, so
+    # carry_in = L(P) // P; what alpha and the cost add to the partial
+    # cost then depends on P alone, under every kind
+    s, b1, b2 = case
+    ev1, ev2 = BaseEval.of(s, b1), BaseEval.of(s, b2)
+    prod = product(b1)
+    assert ev1.prod == ev2.prod == prod
+    assert ev1.carry_in == ev2.carry_in == sum(v % prod for v in s) // prod
+    assert ev1.cur.tolist() == ev2.cur.tolist()
+    for kind in CostKind:
+        a1, a2 = ((ev.alpha(kind) - ev.partial(kind),
+                   ev.cost(kind) - ev.partial(kind)) for ev in (ev1, ev2))
+        assert a1 == a2, kind
+
+
 def test_bit_length_matches_int_bit_length():
     values = [0]
     for k in range(52):

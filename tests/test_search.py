@@ -100,7 +100,7 @@ def test_hash_bnb_examples():
     r = find_base(Multiset.of([2, 2, 2, 2, 5, 18]),
                   cfg_for("carry", max_elem=18, primes=False))
     assert r.best_cost == 8
-    assert not r.optimal_guaranteed  # only the digit cost carries the guarantee
+    assert r.optimal_guaranteed  # under every cost, unless it timed out
     assert cost_of(CostKind.SUM_CARRY, Multiset.of([2, 2, 2, 2, 5, 18]),
                    (2, 9)) == 8
     r = find_base(Multiset.of([1]), cfg_for(primes=False, max_elem=2))
@@ -154,13 +154,7 @@ def test_oracle_agreement_small():
                                               primes=primes, algo=algo)
                                    ).best_cost
                    for algo in ALGORITHMS}
-            hashed = got.pop("hashbnb")
             assert got == {k: want for k in got}, (elems, kind, primes, got, want)
-            if kind == "digits":
-                assert hashed == want, (elems, primes)
-            elif hashed != want:
-                print(f"note: hashbnb off-optimum on {elems} kind={kind} "
-                      f"primes={primes}: {hashed} vs {want}")
 
 
 def test_prime_optimum_matches_integer_optimum_for_digits():
@@ -221,7 +215,8 @@ def test_property1_for_digit_cost():
 
 
 def test_extension_order_scan_for_other_costs():
-    # counterexample hunt: reported, not asserted (none is promised)
+    # bases with one product keep their cost order under every common
+    # extension: a product fixes carry_in and every later column
     rng = random.Random(23)
     found = {"carry": 0, "comp": 0}
     for _ in range(300):
@@ -250,7 +245,7 @@ def test_extension_order_scan_for_other_costs():
                             e2 = cost_oracle(kind, s.elements, b2 + ext)
                             if (s1 - s2) * (e1 - e2) < 0:
                                 found[kind] += 1
-    print(f"extension-order flips found (carry/comp): {found}")
+    assert found == {"carry": 0, "comp": 0}
 
 
 def test_find_base_dispatch_and_determinism():
