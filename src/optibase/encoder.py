@@ -218,52 +218,35 @@ def _or_many(lits: Sequence[Lit], bld: CnfBuilder) -> Lit:
 
 
 @lru_cache(maxsize=None)
-def _batcher_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """Odd-even mergesort exchange list for a power-of-two n."""
+def _merge_exchange_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's merge exchange for any n (Knuth, TAOCP vol. 3, 5.2.2,
+    Algorithm M): the pairs (i, i + d) with i & p == r of each pass."""
     pairs: list[tuple[int, int]] = []
-
-    def sort(lo: int, m: int) -> None:
-        if m > 1:
-            half = m // 2
-            sort(lo, half)
-            sort(lo + half, half)
-            merge(lo, m, 1)
-
-    def merge(lo: int, m: int, r: int) -> None:
-        step = r * 2
-        if step < m:
-            merge(lo, m, step)
-            merge(lo + r, m, step)
-            for i in range(lo + r, lo + m - r, step):
-                pairs.append((i, i + r))
-        else:
-            pairs.append((lo, lo + r))
-
-    sort(0, n)
+    p = top = 1 << (n - 1).bit_length() >> 1
+    while p:
+        q, r, d = top, 0, p
+        while True:
+            pairs.extend((i, i + d) for i in range(n - d) if i & p == r)
+            if q == p:
+                break
+            q, r, d = q >> 1, p, q - p
+        p >>= 1
     return tuple(pairs)
 
 
 def sorting_network(inputs: Sequence[Lit], bld: CnfBuilder) -> UnaryBus:
     """Sort a bus of literals descending (true values first).
 
-    Known optimal networks up to 8 inputs; larger buses are padded with
-    FALSE to the next power of two and run through odd-even mergesort,
-    the padding folding away.  Output length equals input length.
+    Known optimal networks up to 8 inputs; Batcher's merge exchange,
+    which sorts any number of inputs, beyond.
     """
     n = len(inputs)
     bld.network_sizes.append(n)
-    if n <= 1:
-        return tuple(inputs)
     wires = list(inputs)
-    if n <= 8:
-        pairs = OPTIMAL_NETWORKS[n]
-    else:
-        padded = 1 << (n - 1).bit_length()
-        wires += [FALSE] * (padded - n)
-        pairs = _batcher_pairs(padded)
+    pairs = OPTIMAL_NETWORKS[n] if n <= 8 else _merge_exchange_pairs(n)
     for i, j in pairs:
         wires[i], wires[j] = comparator(wires[i], wires[j], bld)
-    return tuple(wires[:n])
+    return tuple(wires)
 
 
 def decompose(c: PbConstraint, base: Sequence[int]) -> list[UnaryBus]:

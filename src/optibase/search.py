@@ -179,32 +179,32 @@ def _dfs(run: _Run) -> None:
 def _queue_search(run: _Run) -> None:
     """Best-first branch and bound over a heap of (key, parent, p), where
     the child ``parent.extend(p)`` is built only on pop; the unique key
-    (alpha, product, length, base) orders the heap.  Each slot, the product
-    under hashbnb and the base under bnb, keeps its resident key after the
-    pop: a push loses to a resident of no larger alpha, a popped entry no
-    longer resident is skipped, and hashbnb expands each product once."""
+    (alpha, product, length, base) orders the heap.  Under hashbnb each
+    product keeps its resident key after the pop: a push loses to a
+    resident of no larger alpha, a popped entry no longer resident is
+    skipped, and each product is expanded once.  bnb keeps no such map:
+    its slot would be the base, which the tree never repeats."""
     hashed = run.cfg.algorithm == "hashbnb"
     root_key = (run.root.alpha(run.cfg.kind), 1, 0, ())
     heap = [(root_key, run.root, None)]
-    resident = {1 if hashed else (): root_key}
+    resident = {1: root_key}
 
     while heap and heap[0][0][0] < run.best_cost:
         key, parent, p = heappop(heap)
-        slot = key[1] if hashed else key[3]
-        if resident.get(slot) is not key:
+        if hashed and resident[key[1]] is not key:
             continue
         run.expand()
         state = parent if p is None else parent.extend(p)
         base, prod, length = state.base, state.prod, len(state.base) + 1
         for p, alpha, cost in run.children(state):
             child_base, child_prod = base + (p,), prod * p
-            slot = child_prod if hashed else child_base
-            old = resident.get(slot)
+            old = resident.get(child_prod) if hashed else None
             if old is not None and old[0] <= alpha:
                 run.pruned += 1
             else:
                 key = (alpha, child_prod, length, child_base)
-                resident[slot] = key
+                if hashed:
+                    resident[child_prod] = key
                 heappush(heap, (key, state, p))
             run.offer(child_base, cost)
 

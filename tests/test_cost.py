@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from optibase.cost import (BaseEval, CostKind, _bit_length, comparator_count,
                            cost_of)
-from optibase.encoder import PbConstraint, _batcher_pairs, decompose
+from optibase.encoder import PbConstraint, _merge_exchange_pairs, decompose
 from optibase.mixedradix import Multiset
 from optibase.search import (COMP_SUM_LIMIT, SearchConfig, _children,
                              extenders, initial_best, radix_array)
@@ -67,10 +67,10 @@ def test_comparator_count_table_and_formula():
 
 
 def test_comparator_count_matches_generated_networks():
-    # for powers of two the formula counts the odd-even mergesort exactly
+    # for powers of two the formula counts the merge exchange exactly
     for k in range(1, 9):
         n = 1 << k
-        assert comparator_count(n) == len(_batcher_pairs(n))
+        assert comparator_count(n) == len(_merge_exchange_pairs(n))
 
 
 def test_comparator_count_monotone_and_superadditive():

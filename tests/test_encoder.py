@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from optibase import encoder
 from optibase.cost import CostKind, comparator_count, cost_of
 from optibase.encoder import (FALSE, TRUE, CnfBuilder, PbConstraint, Cnf,
-                              _batcher_pairs, comparator, decompose,
+                              _merge_exchange_pairs, comparator, decompose,
                               encode_constraint, encode_geq, encode_instance,
                               neg, sorting_network, to_dimacs)
 from optibase.mixedradix import Multiset, digits_of
@@ -71,12 +71,13 @@ def test_comparator_monotone_polarity_halves_clauses():
     assert len(bld.clauses) == 5 and bld.comparators == 2
 
 
-@pytest.mark.parametrize("n", list(range(0, 9)))
+@pytest.mark.parametrize("n", list(range(0, 15)))
 def test_sorting_network_small_counts_and_sortedness(n):
     bld = CnfBuilder(n)
     out = sorting_network(tuple(range(1, n + 1)), bld)
     assert len(out) == n
-    assert bld.comparators == comparator_count(n)
+    if n <= 8:
+        assert bld.comparators == comparator_count(n)
     assert bld.network_sizes == [n]
     if n == 2:
         assert len(bld.clauses) == 6
@@ -90,16 +91,23 @@ def test_sorting_network_small_counts_and_sortedness(n):
         assert got == sorted(bits, reverse=True)
 
 
-@pytest.mark.parametrize("n", [9, 11, 13, 16])
+# comparators of Batcher's merge exchange on n distinct inputs
+MERGE_EXCHANGE_COMPARATORS = {9: 26, 16: 63, 17: 74, 33: 207, 65: 565,
+                              129: 1500, 257: 3876, 500: 9505, 1000: 23499}
+
+
+@pytest.mark.parametrize("n", [9, 11, 13, 16, 17, 33, 65, 129, 257, 500, 1000])
 def test_sorting_network_large(n):
     bld = CnfBuilder(n)
     out = sorting_network(tuple(range(1, n + 1)), bld)
     assert len(out) == n
-    if n == 16:
-        assert bld.comparators == comparator_count(16) == 63
+    if n in MERGE_EXCHANGE_COMPARATORS:
+        assert bld.comparators == MERGE_EXCHANGE_COMPARATORS[n]
+    if n & (n - 1) == 0:
+        assert bld.comparators == comparator_count(n)
     solver = Solver(bld.clauses, bld.num_vars)
     rng = random.Random(30)
-    for _ in range(150):
+    for _ in range(150 if n <= 64 else 20):
         bits = [rng.random() < 0.5 for _ in range(n)]
         model = solver.solve([i + 1 if b else -(i + 1) for i, b in enumerate(bits)])
         assert model is not None
@@ -109,7 +117,7 @@ def test_sorting_network_large(n):
 def test_batcher_pair_counts_match_formula():
     for k in range(1, 9):
         n = 1 << k
-        assert len(_batcher_pairs(n)) == n * k * (k - 1) // 4 + n - 1
+        assert len(_merge_exchange_pairs(n)) == n * k * (k - 1) // 4 + n - 1
 
 
 def test_normalizer_shapes():
