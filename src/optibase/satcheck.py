@@ -6,17 +6,22 @@ verification tool for desk-scale formulas, not a competitive solver: on
 circuit-shaped CNFs with the inputs given as assumptions it decides by
 propagation alone.
 
-Longer clauses are watched on two distinct literals (Chaff; Moskewicz et
-al., DAC 2001), two-literal clauses are implication lists and unit clauses
-are permanent first assumptions.  Each assumption is a trail level kept
-after the call (trail reuse; van der Tak, Ramos & Heule, JSAT 2011): the
-next call keeps the longest prefix of levels it still assumes, then its
-other kept literals in their old order, changed literals last, so a sweep
-over input assignments re-propagates mostly what it flips.  Decisions are
-undone on every return.  Answers equal a fresh solver's: chronological
-true-first DPLL returns the lexicographically first model extending the
-assumptions, and propagation reaches the same fixpoint, or a conflict, in
-any order.  `steps` counts the clause literals propagation reads in a call.
+Clauses of four or more literals are watched on two distinct literals
+(Chaff; Moskewicz et al., DAC 2001).  A three-literal clause sits in the
+occurrence list of each of its literals as the pair of the other two, read
+without moving anything when that literal turns false (Lingeling's ternary
+lists; Biere, SAT Competition 2013).  Two-literal clauses are implication
+lists and unit clauses are permanent first assumptions.  Each assumption is
+a trail level kept after the call (trail reuse; van der Tak, Ramos & Heule,
+JSAT 2011): the next call keeps the longest prefix of levels it still
+assumes, then its other kept literals in their old order, changed literals
+last, so a sweep over input assignments re-propagates mostly what it flips.
+Decisions are undone on every return.  Answers equal a fresh solver's:
+chronological true-first DPLL returns the lexicographically first model
+extending the assumptions, and propagation reaches the same fixpoint, or a
+conflict, in any order.  `steps` counts the clause literals propagation
+reads in a call: two per visited pair, and for a watched clause both
+watches and the literals scanned for a new one.
 """
 
 from __future__ import annotations
@@ -34,9 +39,11 @@ class Solver:
     def __init__(self, clauses: Sequence[Sequence[int]], num_vars: int):
         self.num_vars = n = num_vars
         self.val = [0] * (2 * n + 1)  # by literal (-v wraps): +1 true, -1 false
-        # bins[l]: literals implied when l turns false; watches[l]: clauses
-        # of three or more literals whose first two positions hold l
+        # bins[l]: literals implied when l turns false; terns[l]: the other
+        # two literals of each three-literal clause holding l; watches[l]:
+        # longer clauses whose first two positions hold l
         self.bins: list[list[int]] = [[] for _ in range(2 * n + 1)]
+        self.terns: list[list[tuple[int, int]]] = [[] for _ in range(2 * n + 1)]
         self.watches: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
         self.trail: list[int] = []
         self.levels: list[tuple[int, int]] = []  # (assumption, trail mark)
@@ -46,9 +53,14 @@ class Solver:
             lits = list(dict.fromkeys(cl))  # a copy: the caller's order stays
             if any(lit == 0 or abs(lit) > n for lit in lits):
                 raise ValueError(f"literal out of range in clause {list(cl)}")
-            if len(lits) > 2:
+            if len(lits) > 3:
                 self.watches[lits[0]].append(lits)
                 self.watches[lits[1]].append(lits)
+            elif len(lits) == 3:
+                a, b, c = lits
+                self.terns[a].append((b, c))
+                self.terns[b].append((a, c))
+                self.terns[c].append((a, b))
             elif len(lits) == 2:
                 self.bins[lits[0]].append(lits[1])
                 self.bins[lits[1]].append(lits[0])
@@ -80,7 +92,8 @@ class Solver:
 
     def _set(self, lit: int, max_steps: float) -> bool:
         """Assign the free `lit` and propagate; False on a conflict."""
-        val, bins, watches, trail = self.val, self.bins, self.watches, self.trail
+        val, bins, terns, trail = self.val, self.bins, self.terns, self.trail
+        watches = self.watches
         val[lit], val[-lit] = 1, -1
         head, steps = len(trail), self.steps
         trail.append(lit)
@@ -100,6 +113,20 @@ class Solver:
                 elif v < 0:
                     self.steps = steps
                     return False
+            pairs = terns[false]
+            steps += 2 * len(pairs)
+            for a, b in pairs:
+                # values are +1/0/-1: the sum is -1 only for one false and
+                # one free literal, -2 only for two false ones
+                v = val[a] + val[b]
+                if v < 0:
+                    if v < -1:
+                        self.steps = steps
+                        return False
+                    if val[a]:
+                        a = b
+                    val[a], val[-a] = 1, -1
+                    trail.append(a)
             ws = watches[false]
             if not ws:
                 continue
@@ -158,17 +185,17 @@ class Solver:
     def _decide(self, max_steps: int) -> Optional[dict[int, bool]]:
         """Chronological DPLL above the assumption levels; a flipped
         decision stays as a forced literal.  Undoes every decision."""
-        val, n, start = self.val, self.num_vars, len(self.trail)
+        val, n, trail, start = self.val, self.num_vars, self.trail, len(self.trail)
         unflipped: list[tuple[int, int]] = []  # (trail mark, var)
         var = 1  # every variable below the newest decision is assigned
         while True:
-            while var <= n and val[var]:
-                var += 1
-            if var > n:
-                model = {v: val[v] > 0 for v in range(1, n + 1)}
+            if len(trail) == n:  # each variable is on the trail once
+                model = dict(zip(range(1, n + 1), map((0).__lt__, val[1:n + 1])))
                 self._undo(start)
                 return model
-            unflipped.append((len(self.trail), var))
+            while val[var]:  # stops at a free variable, so at most at n
+                var += 1
+            unflipped.append((len(trail), var))
             lit = var
             while not self._set(lit, max_steps):
                 if not unflipped:

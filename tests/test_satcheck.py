@@ -137,7 +137,7 @@ def _lit(n):
 def _clause_sets(draw):
     # small variable counts make repeated literals and tautologies common
     n = draw(st.integers(1, 6))
-    clauses = draw(st.lists(st.lists(_lit(n), min_size=1, max_size=4),
+    clauses = draw(st.lists(st.lists(_lit(n), min_size=1, max_size=5),
                             max_size=14))
     if draw(st.integers(0, 19)) == 0:
         clauses.insert(draw(st.integers(0, len(clauses))), [])
@@ -173,6 +173,37 @@ def test_model_is_the_first_in_branching_order(cnf, data):
     assumptions = data.draw(st.lists(_lit(n), max_size=n + 1))
     want = first_model_oracle(clauses, n, assumptions)
     assert Solver(clauses, n).solve(assumptions) == want
+
+
+def test_three_literal_clauses_agree_with_the_oracle():
+    cases = [
+        # a tautology never forces 2, even with 1 and 2 false
+        ([[1, -1, 2]], 2),
+        # a repeated literal leaves the binary clause [1, 2]; [3, 1, 3, 2]
+        # leaves the three-literal clause [3, 1, 2]
+        ([[1, 1, 2], [3, 1, 3, 2], [-3, -2, -1, 4]], 4),
+        # 1 implies 2 by a binary clause, which makes [-1, -2, 3] unit in
+        # the same propagation; 3 then meets [-3, 4, 5] and [-3, -4, 5]
+        ([[-1, 2], [-1, -2, 3], [-3, 4, 5], [-3, -4, 5], [1, 4, 5, 6]], 6),
+        # 4 forces 5 and 6 by binaries; only [-4, -5, -6] refutes it
+        ([[-4, 5], [-4, 6], [-4, -5, -6], [1, 2, 3], [-1, -2, 3]], 6),
+    ]
+    for clauses, n in cases:
+        counting = [[v if a >> (v - 1) & 1 else -v for v in range(1, n + 1)]
+                    for a in range(1 << n)]
+        calls = counting + [[]] + [[lit] for v in range(1, n + 1)
+                                   for lit in (v, -v)]
+        reused = Solver(clauses, n)
+        for assumptions in calls:
+            want = first_model_oracle(clauses, n, assumptions)
+            assert Solver(clauses, n).solve(assumptions) == want
+            assert reused.solve(assumptions) == want
+    assert Solver([[1, -1, 2]], 2).solve([-1, -2]) == {1: False, 2: False}
+    # the conflict is found while assuming 4, on a level above 1, 2, 3
+    solver = Solver(cases[3][0], 6)
+    assert solver.solve([1, 2, 3, 4]) is None
+    assert solver.solve([1, 2, 3, -4]) == {1: True, 2: True, 3: True,
+                                           4: False, 5: True, 6: True}
 
 
 def test_solver_recovers_after_budget_and_unsat_levels():
