@@ -350,6 +350,10 @@ _CSV_FIELDS = ["row_type", "problem", "n", "max_coeff", "cluster", "algo",
 
 
 def cmd_bench(args) -> int:
+    if args.amplify_31 and args.gen is not None:
+        raise UsageError("--amplify-31 scales --opb-dir instances, not --gen")
+    if args.emit_opb is not None and not args.amplify_31:
+        raise UsageError("--emit-opb writes only --amplify-31 instances")
     if args.gen is not None:
         problems = _gen_multisets(args.gen, args.seed, args.gen_max,
                                   args.gen_size)

@@ -9,11 +9,15 @@ Three measures of how expensive a base makes the sorter construction:
 * ``comp``   - total comparators of the sorting networks sized by the
   per-position input counts.
 
-One engine computes all three: ``BaseEval`` holds the state of a base and
-re-costs an extension from its parent's state.  ``cost_of`` folds
-``BaseEval.extend`` from the root over a whole base.  Each state also
-gives a partial cost (the part every extension of the base must pay) and
-an admissible bound ``alpha`` (partial cost plus a heuristic) that never
+One engine computes all three.  A ``BaseEval``, built for one kind,
+holds the state of a base and re-costs an extension from its parent's;
+``cost_of`` folds ``BaseEval.extend`` from the root over a base.  One
+column rule, ``BaseEval._column``, says what closing a digit column adds:
+its digits; under carry, plus its carry out; under comp, the comparators
+of a network over the column and its carry in.  ``extend``, ``cost`` (the
+top column, no carry out) and ``child_metrics`` (a batch) all close
+columns by it.  The closed columns sum to the partial cost, which every
+extension pays; ``alpha`` (partial cost plus a heuristic) never
 overestimates the cost of any extension.  All values are integers; the
 only float is the bit length of a comp network size, which is exact.
 
@@ -27,7 +31,7 @@ that drop only children whose alpha is above the bound.  Both read one
 column budget: the new column may hold ``room`` digits, and the values
 left above it add ``above[i]``.  For digits and carry, room is the bound
 less the partial cost and above = suffix_counts (a digit per value left
-above).  For comp, room is the largest n with prefix_comp +
+above).  For comp, room is the largest n with partial +
 comparator_count(n) <= bound, less carry_in, and above = 0 (the count is
 monotone).  With cur = values // prod, a radix p takes the i =
 searchsorted(cur, p) values with cur < p whole into the column, W[i] =
@@ -43,6 +47,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 from operator import mul
 from typing import Sequence
@@ -117,7 +122,8 @@ def _comparator_count_vec(n: np.ndarray) -> np.ndarray:
 
 @dataclass(slots=True, eq=False)
 class BaseEval:
-    """Incremental cost evaluation of one base over a fixed multiset.
+    """Incremental cost evaluation of one base over a fixed multiset, under
+    the one cost kind it is built for.
 
     Extending a base only changes the former most significant digit
     column, so a child is re-costed from the parent's cached state in time
@@ -126,37 +132,40 @@ class BaseEval:
     """
 
     multiset: Multiset
+    kind: CostKind
     values: np.ndarray  # distinct elements, ascending
     mults: np.ndarray  # their multiplicities
     suffix_counts: np.ndarray  # suffix_counts[i] = sum(mults[i:])
     base: tuple[int, ...]
     prod: int
     cur: np.ndarray  # values // prod
-    prefix_digits: int
-    prefix_carries: int
-    prefix_comp: int
+    partial: int  # what the closed columns cost
     msd_sum: int  # sum(mults * cur)
     carry_in: int  # carry into the most significant column
 
     @staticmethod
-    def root(s: Multiset) -> "BaseEval":
+    def root(s: Multiset, kind: CostKind) -> "BaseEval":
         values, mults = np.unique(np.array(s.elements, dtype=np.int64),
                                   return_counts=True)
         mults = mults.astype(np.int64, copy=False)
         suffix = np.zeros(len(values) + 1, dtype=np.int64)
         suffix[:-1] = mults[::-1].cumsum()[::-1]
-        return BaseEval(
-            s, values, mults, suffix, (), 1, values.copy(),
-            0, 0, 0, int(values @ mults), 0,
-        )
+        return BaseEval(s, kind, values, mults, suffix, (), 1, values.copy(),
+                        0, int(values @ mults), 0)
 
     @staticmethod
-    def of(s: Multiset, base: Sequence[int]) -> "BaseEval":
+    def of(s: Multiset, base: Sequence[int], kind: CostKind) -> "BaseEval":
         """The state of ``base``: ``extend`` folded from the root."""
-        ev = BaseEval.root(s)
-        for p in base:
-            ev = ev.extend(p)
-        return ev
+        return reduce(BaseEval.extend, base, BaseEval.root(s, kind))
+
+    def _column(self, col, carry_in, carry_out, count=comparator_count):
+        """What closing a column of ``col`` digits adds: the one rule per
+        kind.  ``count`` is ``comparator_count`` or its array form."""
+        if self.kind is CostKind.NUM_COMP:
+            return count(col + carry_in)
+        if self.kind is CostKind.SUM_CARRY:
+            return col + carry_out
+        return col
 
     def extend(self, p: int) -> "BaseEval":
         newcur = self.cur // p
@@ -165,50 +174,34 @@ class BaseEval:
         col = self.msd_sum - p * msd_sum
         carry_out = (col + self.carry_in) // p
         return BaseEval(
-            self.multiset, self.values, self.mults, self.suffix_counts,
-            self.base + (p,), self.prod * p, newcur,
-            self.prefix_digits + col,
-            self.prefix_carries + self.carry_in,
-            self.prefix_comp + comparator_count(col + self.carry_in),
-            msd_sum,
-            carry_out,
+            self.multiset, self.kind, self.values, self.mults,
+            self.suffix_counts, self.base + (p,), self.prod * p, newcur,
+            self.partial + self._column(col, self.carry_in, carry_out),
+            msd_sum, carry_out,
         )
 
-    def heuristic_count(self) -> int:
-        """Elements (with multiplicity) at least the base product."""
+    def cost(self) -> int:
+        """The partial cost and the top column, closed with no carry out."""
+        return self.partial + self._column(self.msd_sum, self.carry_in, 0)
+
+    def alpha(self) -> int:
+        """Partial cost plus, but for comp, a digit per element >= prod."""
+        if self.kind is CostKind.NUM_COMP:
+            return self.partial
         # a redundant base's product can pass 2**63; any product past
         # max(S) counts the same as max(S) + 1, which fits in int64
         prod = min(self.prod, self.multiset.max + 1)
-        return int(self.suffix_counts[np.searchsorted(self.values, prod)])
+        return self.partial + int(
+            self.suffix_counts[np.searchsorted(self.values, prod)])
 
-    def cost(self, kind: CostKind) -> int:
-        if kind is CostKind.NUM_COMP:
-            return self.partial(kind) + comparator_count(
-                self.msd_sum + self.carry_in)
-        return self.partial(kind) + self.msd_sum
-
-    def partial(self, kind: CostKind) -> int:
-        """The cost every extension of the base pays: the one place each
-        kind's rule is written."""
-        if kind is CostKind.SUM_DIGITS:
-            return self.prefix_digits
-        if kind is CostKind.SUM_CARRY:
-            return self.prefix_digits + self.prefix_carries + self.carry_in
-        return self.prefix_comp
-
-    def alpha(self, kind: CostKind) -> int:
-        if kind is CostKind.NUM_COMP:
-            return self.prefix_comp
-        return self.partial(kind) + self.heuristic_count()
-
-    def within(self, ps: np.ndarray, kind: CostKind, bound: int) -> np.ndarray:
+    def within(self, ps: np.ndarray, bound: int) -> np.ndarray:
         """``ps`` (ascending, each <= max(S) // prod) less candidates with
         alpha > bound: the prefix cut and the residue sieve, no division,
         both on the column budget ``room`` and ``above`` set here."""
         cur = self.cur.tolist()
         n = len(cur)
-        slack = bound - self.partial(kind)
-        if kind is CostKind.NUM_COMP:
+        slack = bound - self.partial
+        if self.kind is CostKind.NUM_COMP:
             # the largest network within slack; comparator_count(k) >= k - 1
             fits = bisect_right(range(slack + 2), slack, key=comparator_count)
             room, above = fits - 1 - self.carry_in, [0] * (n + 1)
@@ -226,7 +219,7 @@ class BaseEval:
             return ps
         return ps[cur[-1] % ps <= most]
 
-    def child_metrics(self, ps: np.ndarray, kind: CostKind):
+    def child_metrics(self, ps: np.ndarray):
         """(cost, alpha) arrays for extending by each candidate in ``ps``.
 
         Candidates must already satisfy prod * p <= max(S) so that all
@@ -236,19 +229,15 @@ class BaseEval:
         # sum m*(c mod p) = sum m*c - p * sum m*floor(c/p), where sum m*c
         # is msd_sum; p*msd <= msd_sum < 2**63, so nothing overflows
         cols = self.msd_sum - ps * msd
-        net_in = cols + self.carry_in
-        carry_out = net_in // ps
-        # each child's partial, by the rule of ``partial``
-        part = self.partial(kind)
-        if kind is CostKind.NUM_COMP:
-            part = part + _comparator_count_vec(net_in)
-            return part + _comparator_count_vec(msd + carry_out), part
-        part = part + cols
-        if kind is CostKind.SUM_CARRY:
-            part = part + carry_out
+        carry_out = (cols + self.carry_in) // ps
+        vec = _comparator_count_vec
+        part = self.partial + self._column(cols, self.carry_in, carry_out, vec)
+        cost = part + self._column(msd, carry_out, 0, vec)
+        if self.kind is CostKind.NUM_COMP:
+            return cost, part
         idx = np.searchsorted(self.values, self.prod * ps, side="left")
-        return part + msd, part + self.suffix_counts[idx]
+        return cost, part + self.suffix_counts[idx]
 
 
 def cost_of(kind: CostKind, s: Multiset, base: Sequence[int]) -> int:
-    return BaseEval.of(s, base).cost(kind)
+    return BaseEval.of(s, base, kind).cost()

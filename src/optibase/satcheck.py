@@ -48,11 +48,13 @@ class Solver:
         self.trail: list[int] = []
         self.levels: list[tuple[int, int]] = []  # (assumption, trail mark)
         self.steps = 0
+        used = set().union(*clauses)  # n+1..2n would alias negative slots
+        if 0 in used or max(map(abs, used), default=0) > n:
+            bad = 0 if 0 in used else max(used, key=abs)
+            raise ValueError(f"literal {bad} out of range 1..{n}")
         units = []
         for cl in clauses:
             lits = list(dict.fromkeys(cl))  # a copy: the caller's order stays
-            if any(lit == 0 or abs(lit) > n for lit in lits):
-                raise ValueError(f"literal out of range in clause {list(cl)}")
             if len(lits) > 3:
                 self.watches[lits[0]].append(lits)
                 self.watches[lits[1]].append(lits)

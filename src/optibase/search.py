@@ -96,15 +96,14 @@ def initial_best(s: Multiset) -> Base:
     return (2,) * (s.max.bit_length() - 1)
 
 
-def _children(state: BaseEval, radices: np.ndarray, kind: CostKind,
-              bound: int):
+def _children(state: BaseEval, radices: np.ndarray, bound: int):
     """(p, alpha, cost) for each extension of ``state`` whose alpha is within
     ``bound`` (``BaseEval.within`` cuts first), and how many the bound cut."""
     ps = extenders(radices, state.prod, state.multiset)
-    live = state.within(ps, kind, bound)
+    live = state.within(ps, bound)
     if len(live) == 0:
         return (), len(ps)
-    costs, alphas = state.child_metrics(live, kind)
+    costs, alphas = state.child_metrics(live)
     keep = np.flatnonzero(alphas <= bound)
     return (zip(live[keep].tolist(), alphas[keep].tolist(),
                 costs[keep].tolist()),
@@ -127,14 +126,14 @@ class _Run:
                 f"{BRUTE_FORCE_MAX}, got {s.max}")
         self.cfg = cfg
         self.t0 = time.monotonic()
-        self.root = BaseEval.root(s)
+        self.root = BaseEval.root(s, cfg.kind)
         if cfg.kind is CostKind.NUM_COMP and self.root.msd_sum >= COMP_SUM_LIMIT:
             raise ValueError(
                 f"the comp cost is limited to multisets with sum < 2**51, "
                 f"got {self.root.msd_sum}")
         binary = initial_best(s)
         self.best_base, self.best_cost = binary, cost_of(cfg.kind, s, binary)
-        self.offer((), self.root.cost(cfg.kind))
+        self.offer((), self.root.cost())
         self.radices = radix_array(s, cfg)
         self.expanded = self.pruned = 0
 
@@ -153,8 +152,7 @@ class _Run:
     def children(self, state: BaseEval):
         """(p, alpha, cost) for each child of ``state`` whose alpha is within
         the best cost when it is taken: offers may lower it after the cut."""
-        children, cut = _children(state, self.radices, self.cfg.kind,
-                                  self.best_cost)
+        children, cut = _children(state, self.radices, self.best_cost)
         self.pruned += cut
         for child in children:
             if child[1] > self.best_cost:
@@ -185,7 +183,7 @@ def _queue_search(run: _Run) -> None:
     skipped, and each product is expanded once.  bnb keeps no such map:
     its slot would be the base, which the tree never repeats."""
     hashed = run.cfg.algorithm == "hashbnb"
-    root_key = (run.root.alpha(run.cfg.kind), 1, 0, ())
+    root_key = (run.root.alpha(), 1, 0, ())
     heap = [(root_key, run.root, None)]
     resident = {1: root_key}
 
@@ -212,12 +210,11 @@ def _queue_search(run: _Run) -> None:
 def _brute_force(run: _Run) -> None:
     """Exhaustive traversal of the configured base tree; no pruning.  It
     starts from the root, not the binary base, as an independent oracle."""
-    kind = run.cfg.kind
-    run.best_base, run.best_cost = (), run.root.cost(kind)
+    run.best_base, run.best_cost = (), run.root.cost()
 
     def visit(state: BaseEval) -> None:
         run.expand()
-        run.offer(state.base, state.cost(kind))
+        run.offer(state.base, state.cost())
         for p in extenders(run.radices, state.prod, state.multiset):
             visit(state.extend(int(p)))
 

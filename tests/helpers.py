@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from optibase.cost import BaseEval
+from optibase.cost import BaseEval, CostKind
 from optibase.encoder import (CnfBuilder, PbConstraint, decompose, encode_constraint,
                               normalizer)
 
@@ -162,12 +162,13 @@ def first_model_oracle(clauses, num_vars, assumptions=()):
 
 
 def engine_columns(s, base):
-    """Column sums and carries as the library's BaseEval fold holds them."""
-    ev = BaseEval.root(s)
+    """Column sums and carries as the library's BaseEval fold holds them:
+    each column sum is what closing it adds to a digits state's partial."""
+    ev = BaseEval.root(s, CostKind.SUM_DIGITS)
     sums, carries = [], [0]
     for p in base:
         child = ev.extend(p)
-        sums.append(child.prefix_digits - ev.prefix_digits)
+        sums.append(child.partial - ev.partial)
         carries.append(child.carry_in)
         ev = child
     sums.append(ev.msd_sum)

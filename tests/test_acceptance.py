@@ -288,13 +288,14 @@ def test_10_property_suites():
         # admissibility chain for all three costs, on the search's bound
         for _ in range(2000):
             s, base, ext = _extension_pair(rng)
-            ev, ev_ext = BaseEval.of(s, base), BaseEval.of(s, ext)
             for kind in KINDS:
-                assert ev_ext.alpha(kind) == (
+                ev = BaseEval.of(s, base, kind)
+                ev_ext = BaseEval.of(s, ext, kind)
+                assert ev_ext.alpha() == (
                     partial_oracle(kind.value, s.elements, ext)
                     + heuristic_oracle(kind.value, s.elements, ext))
-                assert cost_of(kind, s, ext) >= ev_ext.alpha(kind)
-                assert ev_ext.alpha(kind) >= ev.alpha(kind)
+                assert cost_of(kind, s, ext) >= ev_ext.alpha()
+                assert ev_ext.alpha() >= ev.alpha()
             cases += 1
 
         # equal products order extensions under the digit cost
@@ -306,8 +307,8 @@ def test_10_property_suites():
             if pair is None:
                 continue
             b1, b2 = pair
-            if BaseEval.of(s, b1).alpha(DIGITS) > \
-               BaseEval.of(s, b2).alpha(DIGITS):
+            if BaseEval.of(s, b1, DIGITS).alpha() > \
+               BaseEval.of(s, b2, DIGITS).alpha():
                 b1, b2 = b2, b1
             ext = tuple(rng.randint(2, 6) for _ in range(rng.randint(0, 2)))
             if product(b1 + ext) > s.max:

@@ -655,6 +655,28 @@ def test_bench_opb_dir_and_amplify(capsys, tmp_path):
     assert maxes == [10 * 31**i for i in range(6)]
 
 
+def test_bench_emit_opb_without_amplify_is_a_usage_error(capsys, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "one.opb").write_text("+6 x1 +10 x2 >= 7 ;\n")
+    emit, out_csv = tmp_path / "amplified", tmp_path / "r.csv"
+    code, out, err = run(capsys, "bench", "--opb-dir", str(corpus),
+                         "--emit-opb", str(emit), "--out", str(out_csv))
+    assert (code, out) == (1, "")
+    assert err == "usage error: --emit-opb writes only --amplify-31 instances\n"
+    assert not emit.exists() and not out_csv.exists()
+
+
+def test_bench_gen_with_amplify_is_a_usage_error(capsys, tmp_path):
+    out_csv = tmp_path / "r.csv"
+    code, out, err = run(capsys, "bench", "--gen", "2", "--amplify-31",
+                         "--out", str(out_csv))
+    assert (code, out) == (1, "")
+    assert err == ("usage error: --amplify-31 scales --opb-dir instances, "
+                   "not --gen\n")
+    assert not out_csv.exists()
+
+
 OVERSIZED_OPB = f"+{2**62} x1 +{2**62} x2 >= {2**64 + 1} ;\n"
 
 

@@ -94,22 +94,27 @@ def test_partial_cost_examples():
         (CostKind.SUM_CARRY, S_FIG, (2, 3, 3), 11 - 2),
         (CostKind.NUM_COMP, S_FIG, (2, 3, 3), 12 - comparator_count(2)),
     ):
-        assert BaseEval.of(s, base).partial(kind) == want
+        assert BaseEval.of(s, base, kind).partial == want
         assert partial_oracle(kind.value, s.elements, base) == want
 
 
+def _heuristic(kind, s, base):
+    """What alpha adds to the partial cost of ``base`` under ``kind``."""
+    ev = BaseEval.of(s, base, kind)
+    return ev.alpha() - ev.partial
+
+
 def test_heuristic_examples():
-    assert BaseEval.of(S_INTRO, (3, 5)).heuristic_count() == 4
+    assert _heuristic(CostKind.SUM_DIGITS, S_INTRO, (3, 5)) == 4
     assert heuristic_oracle("digits", S_INTRO.elements, (3, 5)) == 4
     # the comparator bound carries no heuristic term
-    ev = BaseEval.of(S_FIG, (2, 3))
-    assert ev.alpha(CostKind.NUM_COMP) == ev.partial(CostKind.NUM_COMP)
+    assert _heuristic(CostKind.NUM_COMP, S_FIG, (2, 3)) == 0
     assert heuristic_oracle("comp", S_FIG.elements, (2, 3)) == 0
-    assert BaseEval.of(S_PSI, (2, 3, 3)).heuristic_count() == 1
+    assert _heuristic(CostKind.SUM_CARRY, S_PSI, (2, 3, 3)) == 1
     assert heuristic_oracle("carry", S_PSI.elements, (2, 3, 3)) == 1
     # redundant bases whose products reach 2**63 and pass it count nothing
     for base in ((2**62, 2), (2**62, 2**62)):
-        assert BaseEval.of(S_PSI, base).heuristic_count() == 0
+        assert _heuristic(CostKind.SUM_DIGITS, S_PSI, base) == 0
         assert heuristic_oracle("digits", S_PSI.elements, base) == 0
 
 
@@ -119,7 +124,7 @@ def test_cost_alpha_is_partial_plus_heuristic():
         (CostKind.SUM_CARRY, S_FIG, (2, 3, 3)),
         (CostKind.NUM_COMP, S_FIG, (2, 3, 3)),
     ):
-        assert BaseEval.of(s, base).alpha(kind) == (
+        assert BaseEval.of(s, base, kind).alpha() == (
             partial_oracle(kind.value, s.elements, base)
             + heuristic_oracle(kind.value, s.elements, base))
 
@@ -172,11 +177,11 @@ def test_admissibility_chain():
     rng = random.Random(13)
     for _ in range(1500):
         s, base, ext = _random_pair(rng)
-        ev, ev_ext = BaseEval.of(s, base), BaseEval.of(s, ext)
         for kind in CostKind:
-            assert ev_ext.alpha(kind) == _alpha_oracle(kind, s, ext)
-            assert cost_of(kind, s, ext) >= ev_ext.alpha(kind)
-            assert ev_ext.alpha(kind) >= ev.alpha(kind)
+            ev, ev_ext = BaseEval.of(s, base, kind), BaseEval.of(s, ext, kind)
+            assert ev_ext.alpha() == _alpha_oracle(kind, s, ext)
+            assert cost_of(kind, s, ext) >= ev_ext.alpha()
+            assert ev_ext.alpha() >= ev.alpha()
 
 
 def test_inputs_invariance():
@@ -196,20 +201,21 @@ def test_base_eval_matches_functional_costs():
     for _ in range(1000):
         elems = [rng.randint(1, 10**6) for _ in range(rng.randint(1, 8))]
         s = Multiset.of(elems)
-        ev = BaseEval.root(s)
+        evs = [BaseEval.root(s, kind) for kind in CostKind]
         base = ()
         while True:
-            for kind in CostKind:
+            for ev in evs:
+                kind = ev.kind
                 want = cost_oracle(kind.value, s.elements, base)
-                assert ev.cost(kind) == cost_of(kind, s, base) == want
-                assert ev.partial(kind) == partial_oracle(kind.value,
-                                                          s.elements, base)
-                assert ev.alpha(kind) == _alpha_oracle(kind, s, base)
+                assert ev.cost() == cost_of(kind, s, base) == want
+                assert ev.partial == partial_oracle(kind.value, s.elements,
+                                                    base)
+                assert ev.alpha() == _alpha_oracle(kind, s, base)
             p = rng.randint(2, 9)
             if product(base) * p > s.max:
                 break
             base += (p,)
-            ev = ev.extend(p)
+            evs = [ev.extend(p) for ev in evs]
 
 
 def test_child_metrics_match_scalar_extend():
@@ -217,28 +223,31 @@ def test_child_metrics_match_scalar_extend():
     for _ in range(150):
         elems = [rng.randint(1, 10**5) for _ in range(rng.randint(1, 8))]
         s = Multiset.of(elems)
-        ev = BaseEval.root(s)
+        base, prod = (), 1
         depth = rng.randint(0, 3)
         for _ in range(depth):
-            cap = s.max // ev.prod
+            cap = s.max // prod
             if cap < 2:
                 break
-            ev = ev.extend(rng.randint(2, min(9, cap)))
-        cap = s.max // ev.prod
+            base += (rng.randint(2, min(9, cap)),)
+            prod *= base[-1]
+        cap = s.max // prod
         if cap < 2:
             continue
         ps = np.arange(2, cap + 1, dtype=np.int64)
         for kind in CostKind:
-            costs, alphas = ev.child_metrics(ps, kind)
+            ev = BaseEval.of(s, base, kind)
+            costs, alphas = ev.child_metrics(ps)
             for idx in {0, len(ps) - 1, rng.randrange(len(ps))}:
                 child = ev.extend(int(ps[idx]))
-                assert int(costs[idx]) == child.cost(kind)
-                assert int(alphas[idx]) == child.alpha(kind)
+                assert int(costs[idx]) == child.cost()
+                assert int(alphas[idx]) == child.alpha()
 
 
 def _random_state(rng, s):
-    """The state of a random non-redundant base for s, up to three long."""
-    ev = BaseEval.root(s)
+    """The digits state of a random non-redundant base for s, up to three
+    long."""
+    ev = BaseEval.root(s, CostKind.SUM_DIGITS)
     for _ in range(rng.randint(0, 3)):
         cap = s.max // ev.prod
         if cap < 2:
@@ -298,14 +307,20 @@ def test_child_metrics_every_candidate_at_int64_edges():
                 if s.max // ev.prod < 2:
                     continue
                 ps = _edge_extenders(rng, ev)
-                children = [ev.extend(p) for p in ps.tolist()]
                 for kind in kinds:
-                    costs, alphas = ev.child_metrics(ps, kind)
-                    assert costs.tolist() == [c.cost(kind) for c in children]
-                    assert alphas.tolist() == [c.alpha(kind) for c in children]
+                    ev_k = _bound_to(ev, kind)
+                    children = [ev_k.extend(p) for p in ps.tolist()]
+                    costs, alphas = ev_k.child_metrics(ps)
+                    assert costs.tolist() == [c.cost() for c in children]
+                    assert alphas.tolist() == [c.alpha() for c in children]
 
 
 _, _EDGE_TOP, _EDGE_COMP = _edge_multisets(random.Random(18))
+
+
+def _bound_to(ev, kind):
+    """The state of ev's base under ``kind``."""
+    return BaseEval.of(ev.multiset, ev.base, kind)
 
 
 def _kinds(s):
@@ -316,7 +331,7 @@ def _kinds(s):
 
 @st.composite
 def _states(draw):
-    """The state of a random non-redundant base, with at least one
+    """The digits state of a random non-redundant base, with at least one
     extender, for a small multiset (small values and repeats included) or
     one at the int64 edges."""
     if draw(st.booleans()):
@@ -325,7 +340,7 @@ def _states(draw):
     else:
         elems = draw(st.sampled_from(_EDGE_TOP + _EDGE_COMP))
     s = Multiset.of(elems)
-    ev = BaseEval.root(s)
+    ev = BaseEval.root(s, CostKind.SUM_DIGITS)
     for _ in range(draw(st.integers(0, 3))):
         cap = s.max // ev.prod
         if cap < 2:
@@ -339,17 +354,17 @@ _PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
                      database=None)
 
 
-def _prefix_bounds(ev, kind):
+def _prefix_bounds(ev):
     """lb[i] <= alpha of each child of ev whose radix has i values of cur
-    below it: partial + W[i] + suffix_counts[i], or for comp prefix_comp +
+    below it: partial + W[i] + suffix_counts[i], or for comp partial +
     comparator_count(W[i] + carry_in), W[i] = sum_{j<i} m_j * cur_j."""
     whole = [0]
     for m, c in zip(ev.mults.tolist(), ev.cur.tolist()):
         whole.append(whole[-1] + m * c)
-    if kind is CostKind.NUM_COMP:
-        return [ev.prefix_comp + comparator_count(w + ev.carry_in)
+    if ev.kind is CostKind.NUM_COMP:
+        return [ev.partial + comparator_count(w + ev.carry_in)
                 for w in whole]
-    return [ev.partial(kind) + w + n
+    return [ev.partial + w + n
             for w, n in zip(whole, ev.suffix_counts.tolist())]
 
 
@@ -362,21 +377,22 @@ def test_prefix_bounds_admissible_and_tight(ev, rng):
     cur, mults = ev.cur.tolist(), ev.mults.tolist()
     i0 = sum(1 for c in cur if c < 2)
     for kind in _kinds(ev.multiset):
-        lb = _prefix_bounds(ev, kind)
+        ev_k = _bound_to(ev, kind)
+        lb = _prefix_bounds(ev_k)
         assert len(lb) == len(cur) + 1
         for p in _edge_extenders(rng, ev).tolist():
             i = sum(1 for c in cur if c < p)
-            child = ev.extend(p)
-            assert lb[i] <= child.alpha(kind)
+            child = ev_k.extend(p)
+            assert lb[i] <= child.alpha()
             whole = sum(m * c for m, c in zip(mults, cur) if c < p)
-            exact = (child.prefix_digits - ev.prefix_digits == whole
+            exact = (ev.extend(p).partial - ev.partial == whole
                      and (kind is not CostKind.SUM_CARRY or child.carry_in == 0))
             if exact:
-                assert lb[i] == child.alpha(kind)
+                assert lb[i] == child.alpha()
             one = np.array([p], dtype=np.int64)
-            assert ev.within(one, kind, child.alpha(kind)).tolist() == [p]
+            assert ev_k.within(one, child.alpha()).tolist() == [p]
             assert i >= i0  # p >= 2, and lb is non-decreasing from i0 on
-            assert len(ev.within(one, kind, lb[i] - 1)) == 0
+            assert len(ev_k.within(one, lb[i] - 1)) == 0
 
 
 @_PROPERTY
@@ -387,30 +403,31 @@ def test_residue_sieve_admissible(ev, rng):
     # keeps p at the bound alpha and drops it at lb(p) - 1
     top, m = int(ev.cur[-1]), int(ev.mults[-1])
     for kind in _kinds(ev.multiset):
+        ev_k = _bound_to(ev, kind)
         for p in _edge_extenders(rng, ev).tolist():
             rest = m * (top % p)
             if kind is CostKind.NUM_COMP:
-                lb = ev.prefix_comp + comparator_count(rest + ev.carry_in)
+                lb = ev_k.partial + comparator_count(rest + ev.carry_in)
             else:
-                lb = ev.partial(kind) + rest + m
-            alpha = ev.extend(p).alpha(kind)
+                lb = ev_k.partial + rest + m
+            alpha = ev_k.extend(p).alpha()
             assert lb <= alpha
             one = np.array([p], dtype=np.int64)
-            assert ev.within(one, kind, alpha).tolist() == [p]
-            assert len(ev.within(one, kind, lb - 1)) == 0
+            assert ev_k.within(one, alpha).tolist() == [p]
+            assert len(ev_k.within(one, lb - 1)) == 0
 
 
 def test_within_sieves_by_the_top_remainder():
     # at the root of four values from U[1, 2**31 - 1] under the starting
     # bound, the prefix cut alone keeps every candidate
     s = Multiset.of([1337671203, 548563997, 1592975437, 769949151])
-    ev = BaseEval.root(s)
     for kind, want in ((CostKind.SUM_DIGITS, (1229, 68)),
                        (CostKind.SUM_CARRY, (9999, 669)),
                        (CostKind.NUM_COMP, (9999, 192))):
+        ev = BaseEval.root(s, kind)
         ps = extenders(radix_array(s, SearchConfig(kind)), 1, s)
         bound = cost_of(kind, s, initial_best(s))
-        assert (len(ps), len(ev.within(ps, kind, bound))) == want
+        assert (len(ps), len(ev.within(ps, bound))) == want
 
 
 @_PROPERTY
@@ -424,12 +441,13 @@ def test_children_cut_matches_uncut_kernel(ev, rng, max_elem, primes):
     s = ev.multiset
     edge = _edge_extenders(rng, ev)
     for kind in _kinds(s):
+        ev_k = _bound_to(ev, kind)
         radices = radix_array(
             s, SearchConfig(kind, max_elem=max_elem, primes_only=primes))
         ps = extenders(radices, ev.prod, s)
-        costs, alphas = ev.child_metrics(ps, kind)
-        _, edge_alphas = ev.child_metrics(edge, kind)
-        marks = _prefix_bounds(ev, kind)
+        costs, alphas = ev_k.child_metrics(ps)
+        _, edge_alphas = ev_k.child_metrics(edge)
+        marks = _prefix_bounds(ev_k)
         for a in (alphas, edge_alphas):
             if len(a):
                 marks += [int(a.min()), int(a.max()), rng.choice(a.tolist())]
@@ -437,10 +455,10 @@ def test_children_cut_matches_uncut_kernel(ev, rng, max_elem, primes):
             keep = alphas <= bound
             want = list(zip(ps[keep].tolist(), alphas[keep].tolist(),
                             costs[keep].tolist()))
-            children, cut = _children(ev, radices, kind, bound)
+            children, cut = _children(ev_k, radices, bound)
             assert list(children) == want
             assert cut == len(ps) - len(want)
-            kept = np.isin(edge, ev.within(edge, kind, bound))
+            kept = np.isin(edge, ev_k.within(edge, bound))
             assert (edge_alphas[~kept] > bound).all()
 
 
@@ -476,14 +494,14 @@ def test_one_product_fixes_the_state_but_for_the_partial_cost(case):
     # carry_in = L(P) // P; what alpha and the cost add to the partial
     # cost then depends on P alone, under every kind
     s, b1, b2 = case
-    ev1, ev2 = BaseEval.of(s, b1), BaseEval.of(s, b2)
     prod = product(b1)
-    assert ev1.prod == ev2.prod == prod
-    assert ev1.carry_in == ev2.carry_in == sum(v % prod for v in s) // prod
-    assert ev1.cur.tolist() == ev2.cur.tolist()
     for kind in CostKind:
-        a1, a2 = ((ev.alpha(kind) - ev.partial(kind),
-                   ev.cost(kind) - ev.partial(kind)) for ev in (ev1, ev2))
+        ev1, ev2 = BaseEval.of(s, b1, kind), BaseEval.of(s, b2, kind)
+        assert ev1.prod == ev2.prod == prod
+        assert ev1.carry_in == ev2.carry_in == sum(v % prod for v in s) // prod
+        assert ev1.cur.tolist() == ev2.cur.tolist()
+        a1, a2 = ((ev.alpha() - ev.partial, ev.cost() - ev.partial)
+                  for ev in (ev1, ev2))
         assert a1 == a2, kind
 
 

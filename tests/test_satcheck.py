@@ -117,8 +117,10 @@ def test_solver_reuse_across_assumption_sets():
 
 
 def test_literal_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        Solver([[5]], 2)
+    # 0 and n+1..2n (which would alias negative slots) are rejected too
+    for clauses in ([[5]], [[3]], [[-3]], [[1, 0]]):
+        with pytest.raises(ValueError):
+            Solver(clauses, 2)
     with pytest.raises(ValueError):
         Solver([[1]], 2).solve([1, 3])
     with pytest.raises(ValueError):

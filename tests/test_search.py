@@ -195,12 +195,12 @@ def test_property1_for_digit_cost():
             continue
         group = rng.choice(groups)
         b1, b2 = rng.sample(group, 2)
-        ev1 = ev2 = BaseEval.root(s)
+        ev1 = ev2 = BaseEval.root(s, CostKind.SUM_DIGITS)
         for p in b1:
             ev1 = ev1.extend(p)
         for p in b2:
             ev2 = ev2.extend(p)
-        a1, a2 = ev1.alpha(CostKind.SUM_DIGITS), ev2.alpha(CostKind.SUM_DIGITS)
+        a1, a2 = ev1.alpha(), ev2.alpha()
         if a1 > a2:
             b1, b2 = b2, b1
         ext = tuple(rng.randint(2, 6) for _ in range(rng.randint(0, 2)))
