@@ -99,10 +99,10 @@ class CnfBuilder:
     """Fresh-variable allocator and clause sink with emission statistics.
 
     ``num_vars`` starts at the number of pre-reserved input variables;
-    fresh ids continue above it.  Clauses fold constants on the way in:
-    a TRUE literal satisfies the clause, FALSE literals drop out, and a
-    clause holding complementary literals is discarded.  An empty clause
-    (unsatisfiable) is kept and marks the formula statically false.
+    fresh ids continue above it.  ``add_clause`` folds constants on the
+    way in: a TRUE literal satisfies the clause, FALSE literals drop out,
+    and a clause holding complementary literals is discarded.  An empty
+    clause (unsatisfiable) is kept and marks the formula statically false.
     """
 
     def __init__(self, num_input_vars: int = 0, polarity: str = "full"):
@@ -151,10 +151,14 @@ def comparator(a: Lit, b: Lit, bld: CnfBuilder) -> tuple[Lit, Lit]:
 
     Constant inputs fold without allocating variables or emitting clauses
     and do not count toward comparator statistics.  A real comparator
-    costs six clauses (three per equivalence), or the three justification
-    clauses under monotone polarity.  Equal inputs, which a literal with a
-    digit of 2 or more puts on its bus, make two of them repeats, so
-    those cost four clauses or two.
+    appends its clauses to ``bld.clauses`` directly, in the order
+    [-hi,a,b], [-lo,a], [-lo,b], [-a,hi], [-b,hi], [-a,-b,lo]: six (three
+    per equivalence), or the first three justification clauses under
+    monotone polarity.  Equal inputs, which a literal with a digit of 2 or
+    more puts on its bus, collapse the repeated literal and drop the two
+    repeated clauses, so they cost four clauses or two; complementary
+    inputs drop the two three-literal tautologies, also leaving four or
+    two.  What is emitted is what ``add_clause`` would keep of the six.
     """
     if a is TRUE or b is FALSE:
         return a, b
@@ -162,15 +166,14 @@ def comparator(a: Lit, b: Lit, bld: CnfBuilder) -> tuple[Lit, Lit]:
         return b, a
     hi = bld.fresh()
     lo = bld.fresh()
-    bld.add_clause([-hi, a, b])
-    bld.add_clause([-lo, a])
-    if b != a:
-        bld.add_clause([-lo, b])
-    if bld.polarity == "full":
-        bld.add_clause([-a, hi])
-        if b != a:
-            bld.add_clause([-b, hi])
-        bld.add_clause([-a, -b, lo])
+    if a == b:
+        cls = ([-hi, a], [-lo, a], [-a, hi], [-a, lo])
+    elif a == -b:
+        cls = ([-lo, a], [-lo, b], [-a, hi], [-b, hi])
+    else:
+        cls = ([-hi, a, b], [-lo, a], [-lo, b], [-a, hi], [-b, hi], [-a, -b, lo])
+    # under monotone polarity the first half: the justification clauses
+    bld.clauses += cls if bld.polarity == "full" else cls[:len(cls) // 2]
     bld.comparators += 1
     return hi, lo
 
@@ -191,10 +194,8 @@ def _and2(a: Lit, b: Lit, bld: CnfBuilder) -> Lit:
     key = ("and", min(a, b), max(a, b))
     if key in bld.gates:
         return bld.gates[key]
-    v = bld.gates[key] = bld.fresh()
-    bld.add_clause([-v, a])
-    bld.add_clause([-v, b])
-    bld.add_clause([-a, -b, v])
+    v = bld.gates[key] = bld.fresh()  # v is fresh and a, b folded: no clause folds
+    bld.clauses += ([-v, a], [-v, b], [-a, -b, v])
     return v
 
 
@@ -211,9 +212,8 @@ def _or_many(lits: Sequence[Lit], bld: CnfBuilder) -> Lit:
     if key in bld.gates:
         return bld.gates[key]
     v = bld.gates[key] = bld.fresh()
-    bld.add_clause([-v] + kept)
-    for lit in kept:
-        bld.add_clause([-lit, v])
+    bld.clauses.append([-v, *kept])
+    bld.clauses += [[-lit, v] for lit in kept]
     return v
 
 
@@ -360,13 +360,20 @@ class Cnf:
 
     @property
     def has_empty_clause(self) -> bool:
-        return any(not cl for cl in self.clauses)
+        return [] in self.clauses
+
+
+# One "%d ... %d 0" format per clause length below 32, which covers the
+# comparator and gate clauses; longer or-gate clauses join their literals.
+_CLAUSE_FORMATS = tuple("%d " * n + "0" for n in range(32))
 
 
 def to_dimacs(cnf: Cnf) -> str:
     lines = [f"c {c}" if c else "c" for c in cnf.comments]
     lines.append(f"p cnf {cnf.num_vars} {len(cnf.clauses)}")
-    lines += [" ".join(map(str, [*cl, 0])) for cl in cnf.clauses]
+    fmts, short = _CLAUSE_FORMATS, len(_CLAUSE_FORMATS)
+    lines += [fmts[len(cl)] % tuple(cl) if len(cl) < short
+              else " ".join(map(str, [*cl, 0])) for cl in cnf.clauses]
     return "\n".join(lines) + "\n"
 
 

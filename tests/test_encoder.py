@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from optibase import encoder
 from optibase.cost import CostKind, comparator_count, cost_of
 from optibase.encoder import (FALSE, TRUE, CnfBuilder, PbConstraint, Cnf,
-                              _merge_exchange_pairs, comparator, decompose,
+                              _and2, _disjuncts, _merge_exchange_pairs,
+                              _or_many, comparator, decompose,
                               encode_constraint, encode_geq, encode_instance,
                               neg, sorting_network, to_dimacs)
 from optibase.mixedradix import Multiset, digits_of
@@ -69,6 +70,83 @@ def test_comparator_monotone_polarity_halves_clauses():
     assert len(bld.clauses) == 3 and bld.comparators == 1
     comparator(2, 2, bld)
     assert len(bld.clauses) == 5 and bld.comparators == 2
+
+
+def _folded(clauses):
+    """The clauses as ``add_clause`` keeps them, one after another, with a
+    clause equal to an earlier one of the same gate dropped."""
+    kept = []
+    for cl in clauses:
+        out = _disjuncts(cl)
+        if out is not None and out not in kept:
+            kept.append(out)
+    return kept
+
+
+def _reference_comparator(a, b, bld):
+    if a is TRUE or b is FALSE:
+        return a, b
+    if b is TRUE or a is FALSE:
+        return b, a
+    hi, lo = bld.fresh(), bld.fresh()
+    six = [[-hi, a, b], [-lo, a], [-lo, b], [-a, hi], [-b, hi], [-a, -b, lo]]
+    bld.clauses += _folded(six if bld.polarity == "full" else six[:3])
+    bld.comparators += 1
+    return hi, lo
+
+
+@pytest.mark.parametrize("polarity", ["full", "monotone"])
+def test_comparator_matches_the_folded_six_clauses(polarity):
+    lits = (TRUE, FALSE, 1, -1, 2, -2)
+    for a, b in itertools.product(lits, repeat=2):
+        got, ref = CnfBuilder(2, polarity), CnfBuilder(2, polarity)
+        assert comparator(a, b, got) == _reference_comparator(a, b, ref), (a, b)
+        assert got.clauses == ref.clauses, (a, b)
+        assert (got.num_vars, got.comparators) == (ref.num_vars, ref.comparators)
+
+
+def _reference_and2(a, b, bld):
+    if a is FALSE or b is FALSE:
+        return FALSE
+    if a is TRUE:
+        return b
+    if b is TRUE or a == b:
+        return a
+    if a == -b:
+        return FALSE
+    key = ("and", min(a, b), max(a, b))
+    if key not in bld.gates:
+        v = bld.gates[key] = bld.fresh()
+        bld.clauses += _folded([[-v, a], [-v, b], [-a, -b, v]])
+    return bld.gates[key]
+
+
+def _reference_or_many(lits, bld):
+    kept = _disjuncts(lits)
+    if kept is None:
+        return TRUE
+    if len(kept) < 2:
+        return kept[0] if kept else FALSE
+    key = ("or", *sorted(kept))
+    if key not in bld.gates:
+        v = bld.gates[key] = bld.fresh()
+        bld.clauses += _folded([[-v] + kept] + [[-lit, v] for lit in kept])
+    return bld.gates[key]
+
+
+def test_gates_match_their_folded_clauses():
+    # repeated calls share a gate; (1, -1) is a complementary pair
+    lits = (TRUE, FALSE, 1, -1, 2, 3)
+    calls = [(_and2, _reference_and2, pair)
+             for pair in itertools.product(lits, repeat=2)]
+    calls += [(_or_many, _reference_or_many, (ins,))
+              for n in range(4) for ins in itertools.product(lits, repeat=n)]
+    got, ref = CnfBuilder(3), CnfBuilder(3)
+    for gate, reference, args in calls:
+        assert gate(*args, got) == reference(*args, ref), (gate.__name__, args)
+        assert got.clauses == ref.clauses and got.gates == ref.gates
+        assert got.num_vars == ref.num_vars
+    assert len(got.gates) == 5 + 7  # and, or over {1, -1, 2, 3}
 
 
 @pytest.mark.parametrize("n", list(range(0, 15)))
@@ -429,13 +507,22 @@ def test_dimacs_empty_clause_line():
 
 
 def test_dimacs_clause_lines_are_literals_then_zero():
+    # short clauses, the last cached clause length, the first and a long one
+    # past it, and literals at the ends of the variable range
     rng = random.Random(41)
-    clauses = [[rng.choice([-1, 1]) * rng.randint(1, 2**31 - 1)
-                for _ in range(rng.randint(0, 6))] for _ in range(300)]
-    lines = to_dimacs(Cnf(2**31 - 1, clauses)).split("\n")
-    assert lines[0] == f"p cnf {2**31 - 1} 300" and lines[-1] == ""
-    assert lines[1:-1] == [" ".join(str(lit) for lit in cl + [0])
-                           for cl in clauses]
+    big = 2**31 - 1
+    clauses = [[rng.choice([-1, 1]) * rng.choice([1, 2, big - 1, big,
+                                                  rng.randint(1, big)])
+                for _ in range(rng.randint(0, 8))] for _ in range(300)]
+    cached = len(encoder._CLAUSE_FORMATS)
+    for n in (cached - 1, cached, 200):
+        clauses.insert(n, [rng.choice([-big, big, -1, 7]) for _ in range(n)])
+    comments = ["", "var 1 x1", "", "stats {}"]
+    lines = to_dimacs(Cnf(big, clauses, comments)).split("\n")
+    assert lines[:4] == ["c", "c var 1 x1", "c", "c stats {}"]
+    assert lines[4] == f"p cnf {big} 303" and lines[-1] == ""
+    assert lines[5:-1] == [" ".join(map(str, [*cl, 0])) for cl in clauses]
+    assert {len(cl) for cl in clauses} == set(range(9)) | {cached - 1, cached, 200}
 
 
 # an = constraint (two halves over one multiset) and two constraints
