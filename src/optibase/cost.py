@@ -87,9 +87,9 @@ def comparator_count(n: int) -> int:
     Sizes of the known optimal networks up to 8 inputs; the odd-even
     mergesort formula n*ceil(log2 n)*(ceil(log2 n)-1)/4 + n - 1 beyond
     (evaluated in integers, rounding the rare fractional case down).
-    The encoder's merge exchange matches it up to 8 inputs and at powers
-    of two, and emits fewer at most other sizes.  Just below a power of
-    two it can emit more: at 54 sizes in 9..1099, by at most 35 (n = 1013).
+    On distinct inputs, merge exchange matches it up to 8 and at powers of
+    two, emits fewer at most other sizes and more at 54 in 9..1099 (by at
+    most 35, n = 1013).  It also overcounts where a bus repeats a literal.
     """
     if n < 0:
         raise ValueError("network size cannot be negative")

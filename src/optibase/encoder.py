@@ -8,9 +8,12 @@ bus modulo its radix and forwards every radix-th output as a carry into
 the next position, and finally the resulting mixed radix number is
 compared lexicographically against the threshold.  Each comparison
 builds only the remainder lines it reads: R_d and, above the lowest
-nonzero threshold digit, R_{d+1} for threshold digit d.  The builder
-keeps one output per distinct and/or gate, so comparisons on one network
-share the lines they both read.
+nonzero threshold digit, R_{d+1} for threshold digit d.  Every gate
+follows one rule: constant, equal and complementary inputs fold, and the
+builder keeps one output per distinct comparator pair and or-gate (an
+and-gate is a negated or-gate).  So comparisons share the lines they both
+read, no pair is sorted twice, and ``bld.comparators`` counts what is
+emitted: fewer than the ``comp`` model wherever a bus repeats a literal.
 
 A builder keeps one sorter network per term vector and base, and every
 later constraint over them reads it through its own comparison.  A
@@ -112,7 +115,7 @@ class CnfBuilder:
         self.clauses: list[list[int]] = []
         self.comparators = 0
         self.network_sizes: list[int] = []
-        self.gates: dict[tuple, int] = {}  # and/or gate inputs -> its output
+        self.gates: dict[tuple, int | tuple[int, int]] = {}  # gate inputs -> outputs
         self.networks: dict[tuple, list[UnaryBus]] = {}  # (terms, base) -> sorted buses
         self.polarity = polarity
 
@@ -149,58 +152,34 @@ def _disjuncts(lits: Iterable[Lit]) -> list[int] | None:
 def comparator(a: Lit, b: Lit, bld: CnfBuilder) -> tuple[Lit, Lit]:
     """Two-input sorter: returns (a or b, a and b).
 
-    Constant inputs fold without allocating variables or emitting clauses
-    and do not count toward comparator statistics.  A real comparator
-    appends its clauses to ``bld.clauses`` directly, in the order
-    [-hi,a,b], [-lo,a], [-lo,b], [-a,hi], [-b,hi], [-a,-b,lo]: six (three
-    per equivalence), or the first three justification clauses under
-    monotone polarity.  Equal inputs, which a literal with a digit of 2 or
-    more puts on its bus, collapse the repeated literal and drop the two
-    repeated clauses, so they cost four clauses or two; complementary
-    inputs drop the two three-literal tautologies, also leaving four or
-    two.  What is emitted is what ``add_clause`` would keep of the six.
+    Constant, equal and complementary inputs fold, and a pair the builder
+    already sorted, in either order, returns its outputs.  Only a new pair
+    allocates two variables and counts toward ``bld.comparators``; it
+    appends [-hi,a,b], [-lo,a], [-lo,b], [-a,hi], [-b,hi], [-a,-b,lo], or
+    the first three justification clauses under monotone polarity.
     """
-    if a is TRUE or b is FALSE:
+    if a is TRUE or b is FALSE or a == b:
         return a, b
     if b is TRUE or a is FALSE:
         return b, a
-    hi = bld.fresh()
-    lo = bld.fresh()
-    if a == b:
-        cls = ([-hi, a], [-lo, a], [-a, hi], [-a, lo])
-    elif a == -b:
-        cls = ([-lo, a], [-lo, b], [-a, hi], [-b, hi])
-    else:
+    if a == -b:
+        return TRUE, FALSE
+    key = (a, b) if a < b else (b, a)
+    if key not in bld.gates:
+        hi, lo = bld.gates[key] = bld.fresh(), bld.fresh()
         cls = ([-hi, a, b], [-lo, a], [-lo, b], [-a, hi], [-b, hi], [-a, -b, lo])
-    # under monotone polarity the first half: the justification clauses
-    bld.clauses += cls if bld.polarity == "full" else cls[:len(cls) // 2]
-    bld.comparators += 1
-    return hi, lo
+        bld.clauses += cls if bld.polarity == "full" else cls[:3]
+        bld.comparators += 1
+    return bld.gates[key]
 
 
 def _and2(a: Lit, b: Lit, bld: CnfBuilder) -> Lit:
-    """Literal equivalent to a and b, folding constants and duplicate or
-    complementary inputs; fresh unless the builder holds the gate."""
-    if a is FALSE or b is FALSE:
-        return FALSE
-    if a is TRUE:
-        return b
-    if b is TRUE:
-        return a
-    if a == b:
-        return a
-    if a == -b:
-        return FALSE
-    key = ("and", min(a, b), max(a, b))
-    if key in bld.gates:
-        return bld.gates[key]
-    v = bld.gates[key] = bld.fresh()  # v is fresh and a, b folded: no clause folds
-    bld.clauses += ([-v, a], [-v, b], [-a, -b, v])
-    return v
+    """Literal equivalent to a and b: the negated or-gate of ~a and ~b."""
+    return neg(_or_many([neg(a), neg(b)], bld))
 
 
 def _or_many(lits: Sequence[Lit], bld: CnfBuilder) -> Lit:
-    """Literal equivalent to the disjunction, folding and shared as above."""
+    """Literal equivalent to the disjunction, folded and shared as a comparator is."""
     kept = _disjuncts(lits)
     if kept is None:
         return TRUE

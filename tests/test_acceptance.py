@@ -11,9 +11,10 @@ from contextlib import contextmanager
 from functools import lru_cache
 from math import prod as product
 
-from optibase.cost import BaseEval, CostKind, comparator_count, cost_of
-from optibase.encoder import (CnfBuilder, PbConstraint, decompose,
-                              encode_constraint, sorting_network)
+from optibase.cost import (OPTIMAL_NETWORKS, BaseEval, CostKind,
+                           comparator_count, cost_of)
+from optibase.encoder import (CnfBuilder, PbConstraint, _merge_exchange_pairs,
+                              decompose, encode_constraint, sorting_network)
 from optibase.mixedradix import Multiset, digits_of
 from optibase.satcheck import Solver
 from optibase.search import SearchConfig, find_base, initial_best
@@ -144,8 +145,8 @@ def _equisat_sweep():
     full assignment vs constraint arithmetic, plus network statistics."""
     rng = random.Random(20241)
     mismatches = []
-    networks = []       # (input size, comparators emitted)
-    per_constraint = []  # (all sizes small-or-pow2, comparators, comp cost)
+    networks = []       # (size, emitted, replayed new pairs, any pair folded)
+    per_constraint = []  # (regular and unfolded, comparators, comp cost, replayed)
     for _ in range(500):
         c = _random_constraint(rng)
         s = Multiset.of([coef for coef, _ in c.terms])
@@ -160,12 +161,13 @@ def _equisat_sweep():
             bld = CnfBuilder(max(ids), polarity="full")
             encode_constraint(c, base, bld)
             if c.coefficient_sum >= c.threshold:
-                sizes = tuple(bld.network_sizes)
-                comps = bld.comparators
-                networks.extend(_per_network(c, base, sizes, bld))
-                regular = all(n <= 8 or (n & (n - 1)) == 0 for n in sizes)
-                per_constraint.append(
-                    (regular, comps, cost_of(COMP, s, base)))
+                per = _per_network(c, base)
+                networks.extend(per)
+                regular = all((n <= 8 or (n & (n - 1)) == 0) and not folded
+                              for n, _, _, folded in per)
+                per_constraint.append((regular, bld.comparators,
+                                       cost_of(COMP, s, base),
+                                       sum(new for _, _, new, _ in per)))
             solver = Solver(bld.clauses, bld.num_vars)
             for bits in itertools.product([False, True], repeat=len(ids)):
                 assignment = dict(zip(ids, bits))
@@ -177,18 +179,34 @@ def _equisat_sweep():
     return mismatches, networks, per_constraint
 
 
-def _per_network(c, base, sizes, bld):
-    """Re-encode network by network to attribute comparators to sizes."""
+def _per_network(c, base):
+    """Re-encode network by network to attribute comparators to sizes, and
+    replay each network's pairs on symbolic wires: a pair of equal wires
+    passes them through, and only a pair no earlier network of the
+    constraint sorted is new.  Per network: (size, comparators emitted,
+    new pairs in the replay, whether any pair was equal or repeated)."""
     out = []
     probe = CnfBuilder(10**6)
     buses = decompose(c, base)
-    carries = ()
+    carries = replay_carries = ()
+    sorted_pairs = set()
     for j in range(len(base) + 1):
         before = probe.comparators
         sorted_bus = sorting_network(buses[j] + carries, probe)
-        out.append((len(buses[j]) + len(carries), probe.comparators - before))
+        wires = list(buses[j] + replay_carries)
+        n = len(wires)
+        pairs = OPTIMAL_NETWORKS[n] if n <= 8 else _merge_exchange_pairs(n)
+        new = 0
+        for i, k in pairs:
+            if wires[i] != wires[k]:
+                pair = frozenset((wires[i], wires[k]))
+                new += pair not in sorted_pairs
+                sorted_pairs.add(pair)
+                wires[i], wires[k] = ("or", pair), ("and", pair)
+        out.append((n, probe.comparators - before, new, new < len(pairs)))
         if j < len(base):
             carries = sorted_bus[base[j] - 1::base[j]]
+            replay_carries = tuple(wires[base[j] - 1::base[j]])
     return out
 
 
@@ -204,11 +222,17 @@ def test_06_comparator_accounting():
     with criterion("06 comparator accounting"):
         _, networks, per_constraint = _equisat_sweep()
         assert networks, "sweep produced no networks"
-        for size, emitted in networks:
-            if size <= 8 or (size & (size - 1)) == 0:
+        exact = folded_networks = 0
+        for size, emitted, new, folded in networks:
+            assert emitted == new, (size, emitted, new)
+            folded_networks += folded
+            if not folded and (size <= 8 or (size & (size - 1)) == 0):
                 assert emitted == comparator_count(size), (size, emitted)
+                exact += 1
+        assert exact > 0 and folded_networks > 0
         checked = 0
-        for regular, emitted_total, model_total in per_constraint:
+        for regular, emitted_total, model_total, replayed_total in per_constraint:
+            assert emitted_total == replayed_total
             if regular:
                 assert emitted_total == model_total
                 checked += 1

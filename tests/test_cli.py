@@ -243,8 +243,8 @@ def test_encode_large_radix_counts(capsys, tmp_path):
                      "--base", "2,1000003")
     assert code == 0
     totals = json.loads((tmp_path / "t.cnf.stats.json").read_text())["totals"]
-    assert (totals["vars"], totals["clauses"]) == (40, 109)
-    assert "p cnf 40 109" in out_cnf.read_text().splitlines()
+    assert (totals["vars"], totals["clauses"]) == (28, 79)
+    assert "p cnf 28 79" in out_cnf.read_text().splitlines()
 
 
 def test_encode_parse_error_exit_code(capsys, tmp_path):

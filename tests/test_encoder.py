@@ -47,10 +47,30 @@ def test_comparator_folding_and_clauses():
     hi, lo = comparator(1, 2, bld)
     assert (hi, lo) == (3, 4)
     assert len(bld.clauses) == 6 and bld.comparators == 1
-    # a literal with digit 2 meets itself: each distinct clause once
-    assert comparator(1, 1, bld) == (5, 6)
-    assert len(bld.clauses) == 10 and bld.comparators == 2
-    assert len({tuple(sorted(cl)) for cl in bld.clauses}) == 10
+    # a literal with digit 2 meets itself: the pair passes through
+    assert comparator(1, 1, bld) == (1, 1)
+    assert len(bld.clauses) == 6 and bld.comparators == 1
+
+
+@pytest.mark.parametrize("polarity", ["full", "monotone"])
+def test_comparator_equal_or_complementary_inputs_emit_nothing(polarity):
+    bld = CnfBuilder(2, polarity)
+    assert comparator(1, 1, bld) == (1, 1)
+    assert comparator(-2, -2, bld) == (-2, -2)
+    assert comparator(1, -1, bld) == (TRUE, FALSE)
+    assert comparator(-2, 2, bld) == (TRUE, FALSE)
+    assert (bld.clauses, bld.num_vars, bld.comparators) == ([], 2, 0)
+
+
+@pytest.mark.parametrize("polarity", ["full", "monotone"])
+def test_comparator_repeated_pair_returns_its_outputs(polarity):
+    bld = CnfBuilder(3, polarity)
+    out = comparator(1, -2, bld)
+    emitted = (list(bld.clauses), bld.num_vars, bld.comparators)
+    assert comparator(1, -2, bld) == out and comparator(-2, 1, bld) == out
+    assert (bld.clauses, bld.num_vars, bld.comparators) == emitted
+    # another pair over the same variables is a new comparator
+    assert comparator(1, 2, bld) != out and bld.comparators == 2
 
 
 def test_comparator_semantics_exhaustive():
@@ -68,8 +88,8 @@ def test_comparator_monotone_polarity_halves_clauses():
     bld = CnfBuilder(2, polarity="monotone")
     comparator(1, 2, bld)
     assert len(bld.clauses) == 3 and bld.comparators == 1
-    comparator(2, 2, bld)
-    assert len(bld.clauses) == 5 and bld.comparators == 2
+    comparator(-1, 2, bld)
+    assert len(bld.clauses) == 6 and bld.comparators == 2
 
 
 def _folded(clauses):
@@ -88,37 +108,33 @@ def _reference_comparator(a, b, bld):
         return a, b
     if b is TRUE or a is FALSE:
         return b, a
-    hi, lo = bld.fresh(), bld.fresh()
-    six = [[-hi, a, b], [-lo, a], [-lo, b], [-a, hi], [-b, hi], [-a, -b, lo]]
-    bld.clauses += _folded(six if bld.polarity == "full" else six[:3])
-    bld.comparators += 1
-    return hi, lo
+    if a == b:
+        return a, a
+    if a == -b:
+        return TRUE, FALSE
+    key = frozenset((a, b))
+    if key not in bld.gates:
+        hi, lo = bld.gates[key] = bld.fresh(), bld.fresh()
+        six = [[-hi, a, b], [-lo, a], [-lo, b], [-a, hi], [-b, hi], [-a, -b, lo]]
+        bld.clauses += _folded(six if bld.polarity == "full" else six[:3])
+        bld.comparators += 1
+    return bld.gates[key]
 
 
 @pytest.mark.parametrize("polarity", ["full", "monotone"])
 def test_comparator_matches_the_folded_six_clauses(polarity):
+    # one builder for every pair, so repeated pairs in either order share
     lits = (TRUE, FALSE, 1, -1, 2, -2)
+    got, ref = CnfBuilder(2, polarity), CnfBuilder(2, polarity)
     for a, b in itertools.product(lits, repeat=2):
-        got, ref = CnfBuilder(2, polarity), CnfBuilder(2, polarity)
         assert comparator(a, b, got) == _reference_comparator(a, b, ref), (a, b)
         assert got.clauses == ref.clauses, (a, b)
         assert (got.num_vars, got.comparators) == (ref.num_vars, ref.comparators)
+    assert got.comparators == 4  # {1, 2}, {1, -2}, {-1, 2}, {-1, -2}
 
 
 def _reference_and2(a, b, bld):
-    if a is FALSE or b is FALSE:
-        return FALSE
-    if a is TRUE:
-        return b
-    if b is TRUE or a == b:
-        return a
-    if a == -b:
-        return FALSE
-    key = ("and", min(a, b), max(a, b))
-    if key not in bld.gates:
-        v = bld.gates[key] = bld.fresh()
-        bld.clauses += _folded([[-v, a], [-v, b], [-a, -b, v]])
-    return bld.gates[key]
+    return neg(_reference_or_many([neg(a), neg(b)], bld))
 
 
 def _reference_or_many(lits, bld):
@@ -146,7 +162,16 @@ def test_gates_match_their_folded_clauses():
         assert gate(*args, got) == reference(*args, ref), (gate.__name__, args)
         assert got.clauses == ref.clauses and got.gates == ref.gates
         assert got.num_vars == ref.num_vars
-    assert len(got.gates) == 5 + 7  # and, or over {1, -1, 2, 3}
+    # the and-gates are or-gates over {-1, 1, -2, -3}, the or-gates over {1, -1, 2, 3}
+    assert len(got.gates) == 5 + 7
+
+
+def test_and_gate_is_the_negated_or_gate():
+    bld = CnfBuilder(2)
+    v = _or_many([-1, -2], bld)
+    emitted = (list(bld.clauses), bld.num_vars)
+    assert _and2(1, 2, bld) == -v and _and2(2, 1, bld) == -v
+    assert (bld.clauses, bld.num_vars) == emitted
 
 
 @pytest.mark.parametrize("n", list(range(0, 15)))
@@ -327,6 +352,41 @@ def test_one_builder_shares_networks(polarity):
             assert (solver.solve(inputs + bld.clauses[u]) is not None) == want
 
 
+@pytest.mark.parametrize("polarity", ["full", "monotone"])
+def test_constraints_sharing_one_builder_agree_with_arithmetic(polarity):
+    # two constraints over the same six variables in one builder: the second
+    # reads comparator pairs and gates the first built, and each
+    # comparison's unit clause is held out and assumed on its own
+    rng = random.Random(71)
+    reused = 0
+    for _ in range(150):
+        lits, cons = [v if rng.random() < 0.5 else -v for v in range(1, 7)], []
+        for _ in range(2):
+            terms = tuple((rng.randint(1, 12), lit if rng.random() < 0.8 else -lit)
+                          for lit in lits)
+            cons.append(PbConstraint(terms, rng.randint(1, sum(c for c, _ in terms))))
+        base = rng.choice([(), (2,), (2, 2), (2, 3), (3,), (3, 2, 2)])
+        bld, units, grown = CnfBuilder(6, polarity), [], []
+        for c in cons:
+            encode_constraint(c, base, bld)
+            units.append(len(bld.clauses) - 1)
+            grown.append((bld.comparators, len(bld.network_sizes)))
+        alone = CnfBuilder(6, polarity)
+        encode_constraint(cons[1], base, alone)
+        if grown[1][1] > grown[0][1]:  # the second built its own network
+            reused += alone.comparators - (grown[1][0] - grown[0][0])
+        assert all(len(bld.clauses[u]) == 1 for u in units)
+        solver = Solver([cl for i, cl in enumerate(bld.clauses) if i not in units],
+                        bld.num_vars)
+        for bits in itertools.product([False, True], repeat=6):
+            inputs = [v if b else -v for v, b in zip(range(1, 7), bits)]
+            model = dict(zip(range(1, 7), bits))
+            for c, u in zip(cons, units):
+                want = constraint_value(c.terms, model) >= c.threshold
+                assert (solver.solve(inputs + bld.clauses[u]) is not None) == want
+    assert reused > 0
+
+
 def test_encode_constraint_running_example_structure():
     bld = CnfBuilder(6)
     encode_constraint(PSI, (2, 3, 3), bld)
@@ -482,8 +542,10 @@ def test_encode_instance_forced_base_stats():
     assert st.base == (2, 3, 3)
     assert st.network_sizes == (1, 6, 2, 1)
     assert st.cost_value == 10
-    assert st.comparators == cost_of(CostKind.NUM_COMP,
-                                     Multiset.of([2, 2, 2, 2, 5, 18]), (2, 3, 3))
+    # the middle bus holds x5 twice, and comparator(x5, x5) folds: comp
+    # counts one comparator more than is emitted
+    assert st.comparators == 12 and st.clauses == 91
+    assert cost_of(CostKind.NUM_COMP, Multiset.of([2, 2, 2, 2, 5, 18]), (2, 3, 3)) == 13
 
 
 def test_dimacs_format_and_determinism():
