@@ -18,8 +18,7 @@ of a network over the column and its carry in.  ``extend``, ``cost`` (the
 top column, no carry out) and ``child_metrics`` (a batch) all close
 columns by it.  The closed columns sum to the partial cost, which every
 extension pays; ``alpha`` (partial cost plus a heuristic) never
-overestimates the cost of any extension.  All values are integers; the
-only float is the bit length of a comp network size, which is exact.
+overestimates the cost of any extension.  All values are integers.
 
 A state depends on its base's product P alone but for its partial cost:
 with L(P) = sum m_j * (v_j mod P), L(P * p) = L(P) + P * col and carry_in
@@ -99,25 +98,20 @@ def comparator_count(n: int) -> int:
     return n * levels * (levels - 1) // 4 + n - 1
 
 
-def _bit_length(a: np.ndarray) -> np.ndarray:
-    """Vectorized int bit length: the binary exponent of each value as a
-    float64, exact below 2**53.  Its one caller, the comp cost, only sees
-    network sizes below sum(S) < 2**51 (``search.COMP_SUM_LIMIT``)."""
-    return np.frexp(a.astype(np.float64))[1]
-
-
-_SMALL_SIZES_ARR = np.array([len(OPTIMAL_NETWORKS[n]) for n in range(9)],
-                            dtype=np.int64)
+# A bucket per size up to 8, then per L >= 4 for sizes in (2**(L-1), 2**L]:
+# as L * (L - 1) is even, n * L * (L - 1) // 4 + n - 1 = n * slope // 2 - 1.
+_EDGES = np.array([*range(9), *(1 << L for L in range(4, 63))], dtype=np.int64)
+_SLOPES = np.array([0] * 9 + [L * (L - 1) // 2 + 2 for L in range(4, 63)],
+                   dtype=np.int64)
+_OFFSETS = np.array([len(OPTIMAL_NETWORKS[n]) for n in range(9)] + [-1] * 59,
+                    dtype=np.int64)
 
 
 def _comparator_count_vec(n: np.ndarray) -> np.ndarray:
-    small = n <= 8
-    out = np.empty_like(n)
-    out[small] = _SMALL_SIZES_ARR[n[small]]
-    big = n[~small]
-    levels = _bit_length(big - 1)
-    out[~small] = big * levels * (levels - 1) // 4 + big - 1
-    return out
+    """``comparator_count`` of each size.  Sizes stay below sum(S) < 2**51
+    (``search.COMP_SUM_LIMIT``), so n * slope < 2**62 does not overflow."""
+    k = _EDGES.searchsorted(n)
+    return n * _SLOPES[k] // 2 + _OFFSETS[k]
 
 
 @dataclass(slots=True, eq=False)
@@ -133,12 +127,13 @@ class BaseEval:
 
     multiset: Multiset
     kind: CostKind
-    values: np.ndarray  # distinct elements, ascending
-    mults: np.ndarray  # their multiplicities
+    mults: np.ndarray  # multiplicities of the distinct elements, ascending
     suffix_counts: np.ndarray  # suffix_counts[i] = sum(mults[i:])
+    mult_list: list[int]  # mults and suffix_counts as lists, for ``within``
+    suffix_list: list[int]
     base: tuple[int, ...]
     prod: int
-    cur: np.ndarray  # values // prod
+    cur: np.ndarray  # the distinct elements // prod
     partial: int  # what the closed columns cost
     msd_sum: int  # sum(mults * cur)
     carry_in: int  # carry into the most significant column
@@ -150,8 +145,9 @@ class BaseEval:
         mults = mults.astype(np.int64, copy=False)
         suffix = np.zeros(len(values) + 1, dtype=np.int64)
         suffix[:-1] = mults[::-1].cumsum()[::-1]
-        return BaseEval(s, kind, values, mults, suffix, (), 1, values.copy(),
-                        0, int(values @ mults), 0)
+        return BaseEval(s, kind, mults, suffix, mults.tolist(),
+                        suffix.tolist(), (), 1, values, 0,
+                        int(values @ mults), 0)
 
     @staticmethod
     def of(s: Multiset, base: Sequence[int], kind: CostKind) -> "BaseEval":
@@ -174,8 +170,9 @@ class BaseEval:
         col = self.msd_sum - p * msd_sum
         carry_out = (col + self.carry_in) // p
         return BaseEval(
-            self.multiset, self.kind, self.values, self.mults,
-            self.suffix_counts, self.base + (p,), self.prod * p, newcur,
+            self.multiset, self.kind, self.mults, self.suffix_counts,
+            self.mult_list, self.suffix_list,
+            self.base + (p,), self.prod * p, newcur,
             self.partial + self._column(col, self.carry_in, carry_out),
             msd_sum, carry_out,
         )
@@ -188,11 +185,8 @@ class BaseEval:
         """Partial cost plus, but for comp, a digit per element >= prod."""
         if self.kind is CostKind.NUM_COMP:
             return self.partial
-        # a redundant base's product can pass 2**63; any product past
-        # max(S) counts the same as max(S) + 1, which fits in int64
-        prod = min(self.prod, self.multiset.max + 1)
-        return self.partial + int(
-            self.suffix_counts[np.searchsorted(self.values, prod)])
+        # an element is >= prod exactly when its cur is >= 1
+        return self.partial + int(self.suffix_counts[self.cur.searchsorted(1)])
 
     def within(self, ps: np.ndarray, bound: int) -> np.ndarray:
         """``ps`` (ascending, each <= max(S) // prod) less candidates with
@@ -206,15 +200,15 @@ class BaseEval:
             fits = bisect_right(range(slack + 2), slack, key=comparator_count)
             room, above = fits - 1 - self.carry_in, [0] * (n + 1)
         else:
-            room, above = slack, self.suffix_counts.tolist()
+            room, above = slack, self.suffix_list
         need = [w + a for w, a in zip(
-            accumulate(map(mul, self.mults.tolist(), cur), initial=0), above)]
+            accumulate(map(mul, self.mult_list, cur), initial=0), above)]
         i0 = bisect_left(cur, 2)  # need is non-decreasing from i0 on
         last = bisect_right(need, room, i0, n) - 1
         top = cur[last] if last >= i0 else 0
-        ps = ps[: int(np.searchsorted(ps, top, side="right"))]
+        ps = ps[: ps.searchsorted(top, side="right")]
         # the sieve: m_top * (cur_top mod p) + above[n - 1] <= room
-        most = (room - above[n - 1]) // int(self.mults[-1])
+        most = (room - above[n - 1]) // self.mult_list[-1]
         if most >= cur[-1]:  # no remainder exceeds cur_top itself
             return ps
         return ps[cur[-1] % ps <= most]
@@ -225,7 +219,7 @@ class BaseEval:
         Candidates must already satisfy prod * p <= max(S) so that all
         intermediate products stay within 64 bits.
         """
-        msd = (self.cur[None, :] // ps[:, None]) @ self.mults
+        msd = (self.cur // ps[:, None]) @ self.mults
         # sum m*(c mod p) = sum m*c - p * sum m*floor(c/p), where sum m*c
         # is msd_sum; p*msd <= msd_sum < 2**63, so nothing overflows
         cols = self.msd_sum - ps * msd
@@ -235,8 +229,8 @@ class BaseEval:
         cost = part + self._column(msd, carry_out, 0, vec)
         if self.kind is CostKind.NUM_COMP:
             return cost, part
-        idx = np.searchsorted(self.values, self.prod * ps, side="left")
-        return cost, part + self.suffix_counts[idx]
+        # a value is >= prod * p exactly when its cur is >= p
+        return cost, part + self.suffix_counts[self.cur.searchsorted(ps)]
 
 
 def cost_of(kind: CostKind, s: Multiset, base: Sequence[int]) -> int:

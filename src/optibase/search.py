@@ -88,7 +88,7 @@ def radix_array(s: Multiset, cfg: SearchConfig) -> np.ndarray:
 def extenders(radices: np.ndarray, prod: int, s: Multiset) -> np.ndarray:
     """The prefix of ``radices`` by which a base of product ``prod`` extends
     to a non-redundant base for ``s``: a view, never a copy."""
-    return radices[: int(np.searchsorted(radices, s.max // prod, side="right"))]
+    return radices[: radices.searchsorted(s.max // prod, side="right")]
 
 
 def initial_best(s: Multiset) -> Base:
@@ -104,7 +104,7 @@ def _children(state: BaseEval, radices: np.ndarray, bound: int):
     if len(live) == 0:
         return (), len(ps)
     costs, alphas = state.child_metrics(live)
-    keep = np.flatnonzero(alphas <= bound)
+    keep = (alphas <= bound).nonzero()[0]
     return (zip(live[keep].tolist(), alphas[keep].tolist(),
                 costs[keep].tolist()),
             len(ps) - len(keep))
@@ -150,15 +150,12 @@ class _Run:
             self.best_base, self.best_cost = base, cost
 
     def children(self, state: BaseEval):
-        """(p, alpha, cost) for each child of ``state`` whose alpha is within
-        the best cost when it is taken: offers may lower it after the cut."""
+        """(p, alpha, cost) for each child of ``state`` with alpha within the
+        best cost, the others counted as pruned.  Offers may lower it later:
+        the caller drops, and counts, a child whose alpha is then above it."""
         children, cut = _children(state, self.radices, self.best_cost)
         self.pruned += cut
-        for child in children:
-            if child[1] > self.best_cost:
-                self.pruned += 1
-            else:
-                yield child
+        return children
 
 
 def _dfs(run: _Run) -> None:
@@ -166,7 +163,10 @@ def _dfs(run: _Run) -> None:
     its cost underestimate already exceeds the best cost seen."""
     def visit(state: BaseEval) -> None:
         run.expand()
-        for p, _, cost in run.children(state):
+        for p, alpha, cost in run.children(state):
+            if alpha > run.best_cost:
+                run.pruned += 1
+                continue
             child = state.extend(p)
             run.offer(child.base, cost)
             visit(child)
@@ -175,36 +175,42 @@ def _dfs(run: _Run) -> None:
 
 
 def _queue_search(run: _Run) -> None:
-    """Best-first branch and bound over a heap of (key, parent, p), where
-    the child ``parent.extend(p)`` is built only on pop; the unique key
-    (alpha, product, length, base) orders the heap.  Under hashbnb each
-    product keeps its resident key after the pop: a push loses to a
-    resident of no larger alpha, a popped entry no longer resident is
-    skipped, and each product is expanded once.  bnb keeps no such map:
-    its slot would be the base, which the tree never repeats."""
+    """Best-first branch and bound over a heap of entries (alpha, product,
+    length, base, parent, p), where the child ``parent.extend(p)`` is built
+    only on pop; the first four fields are unique and order the heap.  One
+    loop per expansion counts as pruned each child of ``run.children`` (its
+    cut is counted there) whose alpha is above the best cost, lowered since,
+    or that loses to a resident; it pushes the rest and keeps the cheapest.
+    Under hashbnb each product keeps its resident entry after the pop: a
+    push loses to a resident of no larger alpha, a popped entry no longer
+    resident is skipped, and each product is expanded once.  bnb keeps no
+    such map: its slot would be the base, which the tree never repeats."""
     hashed = run.cfg.algorithm == "hashbnb"
-    root_key = (run.root.alpha(), 1, 0, ())
-    heap = [(root_key, run.root, None)]
-    resident = {1: root_key}
+    entry = (run.root.alpha(), 1, 0, (), run.root, None)
+    heap, resident = [entry], {1: entry}
 
-    while heap and heap[0][0][0] < run.best_cost:
-        key, parent, p = heappop(heap)
-        if hashed and resident[key[1]] is not key:
+    while heap and heap[0][0] < run.best_cost:
+        entry = heappop(heap)
+        _, prod, length, base, parent, p = entry
+        if hashed and resident[prod] is not entry:
             continue
         run.expand()
         state = parent if p is None else parent.extend(p)
-        base, prod, length = state.base, state.prod, len(state.base) + 1
+        length += 1
+        best = run.best_cost
         for p, alpha, cost in run.children(state):
             child_base, child_prod = base + (p,), prod * p
             old = resident.get(child_prod) if hashed else None
-            if old is not None and old[0] <= alpha:
+            if alpha > best or old is not None and old[0] <= alpha:
                 run.pruned += 1
             else:
-                key = (alpha, child_prod, length, child_base)
+                entry = (alpha, child_prod, length, child_base, state, p)
                 if hashed:
-                    resident[child_prod] = key
-                heappush(heap, (key, state, p))
-            run.offer(child_base, cost)
+                    resident[child_prod] = entry
+                heappush(heap, entry)
+            if cost < best:
+                best = run.best_cost = cost
+                run.best_base = child_base
 
 
 def _brute_force(run: _Run) -> None:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from optibase.cost import (BaseEval, CostKind, _bit_length, comparator_count,
-                           cost_of)
+from optibase.cost import (BaseEval, CostKind, _comparator_count_vec,
+                           comparator_count, cost_of)
 from optibase.encoder import PbConstraint, _merge_exchange_pairs, decompose
 from optibase.mixedradix import Multiset
 from optibase.search import (COMP_SUM_LIMIT, SearchConfig, _children,
@@ -505,9 +505,11 @@ def test_one_product_fixes_the_state_but_for_the_partial_cost(case):
         assert a1 == a2, kind
 
 
-def test_bit_length_matches_int_bit_length():
-    values = [0]
-    for k in range(52):
-        values += [(1 << k) - 1, 1 << k, (1 << k) + 1]
-    got = _bit_length(np.array(values, dtype=np.int64))
-    assert got.tolist() == [v.bit_length() for v in values]
+def test_comparator_count_vec_matches_scalar():
+    # every size up to 5,000, and each side of every power of two up to
+    # COMP_SUM_LIMIT, where the buckets of network sizes change
+    sizes = list(range(5001))
+    for k in range(51):
+        sizes += [(1 << k) - 1, 1 << k, (1 << k) + 1]
+    got = _comparator_count_vec(np.array(sizes, dtype=np.int64))
+    assert got.tolist() == [comparator_count(n) for n in sizes]

@@ -387,6 +387,57 @@ def test_hashbnb_expands_each_product_once(monkeypatch, elements,
         assert r.optimal_guaranteed is not r.timed_out
 
 
+@pytest.mark.parametrize("algorithm", ["dfs", "bnb"])
+@pytest.mark.parametrize("elements,primes_only", [g[:2] for g in GOLDEN])
+def test_children_called_once_per_expansion(monkeypatch, algorithm, elements,
+                                            primes_only):
+    # dfs and bnb, like hashbnb above, call _Run.children exactly once per
+    # expansion: the loops that filter its children count no node twice
+    children = search._Run.children
+    calls = []
+
+    def record(run, state):
+        calls.append(state.prod)
+        return children(run, state)
+
+    monkeypatch.setattr(search._Run, "children", record)
+    for kind in CostKind:
+        calls.clear()
+        r = find_base(Multiset.of(elements),
+                      SearchConfig(kind=kind, max_elem=MAX_ELEM,
+                                   primes_only=primes_only,
+                                   algorithm=algorithm))
+        assert len(calls) == r.nodes_expanded, kind
+
+
+# The workload's scale: radices up to 10**4 under hashbnb, on twenty values
+# from U[1, 10**5] (random.Random(22)) under carry and comp with every
+# integer a radix, and on four values from U[1, 2**31 - 1]
+# (random.Random(31)) under digits with prime radices.
+WORKLOAD_TWENTY = (3096, 6510, 10441, 15807, 18399, 23480, 24151, 30375,
+                   31801, 35294, 41872, 45305, 58607, 72352, 78793, 80359,
+                   85384, 89819, 92007, 96940)
+WORKLOAD_FOUR = (26367330, 241374707, 1008411488, 1640627848)
+WORKLOAD_SCALE = [
+    (WORKLOAD_TWENTY, "carry", False,
+     ((3, 4, 2, 3, 3, 3, 3, 3, 3, 4), 264, 549, 338271)),
+    (WORKLOAD_TWENTY, "comp", False,
+     ((3, 3, 3, 3, 3, 3, 2, 2, 2, 3, 2, 2), 1469, 291, 273339)),
+    (WORKLOAD_FOUR, "digits", True,
+     ((2, 2, 2, 2, 2, 7, 3, 3, 11, 2, 2, 3, 3, 3, 5, 2, 2, 2, 2, 2, 2, 2), 44,
+      2813, 2684684)),
+]
+
+
+@pytest.mark.parametrize("elements,kind,primes_only,want", WORKLOAD_SCALE)
+def test_search_telemetry_at_the_workloads_scale(elements, kind, primes_only,
+                                                 want):
+    cfg = SearchConfig(kind=CostKind(kind), max_elem=10**4,
+                       primes_only=primes_only)
+    r = find_base(Multiset.of(elements), cfg)
+    assert (r.best_base, r.best_cost, r.nodes_expanded, r.nodes_pruned) == want
+
+
 # The paper's scale: six values from U[1, 2**31 - 1] (random.Random(5)) and
 # radices up to 10**6, under hashbnb.  carry (5-9 s) stays out of tier-1.
 PAPER_SET = (548563997, 769949151, 1337671203, 1482723312, 1592975437,
