@@ -73,14 +73,9 @@ def _search_config(args) -> SearchConfig:
 
 def _parse_multiset(text: str) -> Multiset:
     try:
-        values = [int(t) for t in text.replace(",", " ").split()]
+        return Multiset.of(int(t) for t in text.replace(",", " ").split())
     except ValueError as e:
         raise UsageError(f"bad multiset {text!r}: {e}") from None
-    if not values:
-        raise UsageError("empty multiset")
-    if min(values) < 1:
-        raise UsageError("multiset elements must be positive integers")
-    return Multiset.of(values)
 
 
 def _parse_base(text: str) -> tuple[int, ...]:
@@ -206,7 +201,7 @@ def cmd_encode(args) -> int:
     return EXIT_STATIC_UNSAT if unsat else EXIT_OK
 
 
-def _run_external_solver(path: str, cnf: Cnf) -> tuple[bool, dict[int, bool]]:
+def _run_external_solver(path: str, cnf: Cnf) -> dict[int, bool] | None:
     f = tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False)
     try:
         with f:
@@ -226,27 +221,24 @@ def _run_external_solver(path: str, cnf: Cnf) -> tuple[bool, dict[int, bool]]:
         elif line.startswith("v "):
             lits.extend(int(t) for t in line[2:].split())
     if status == "UNSATISFIABLE":
-        return False, {}
+        return None
     if status != "SATISFIABLE":
         raise ToolError(f"could not parse solver output (status line {status!r})")
-    model = {abs(l): l > 0 for l in lits if l != 0}
-    return True, model
+    return {abs(l): l > 0 for l in lits if l != 0}
 
 
 def cmd_solve(args) -> int:
     inst, cnf, _ = _encode(args, Path(args.input).read_text())
     if cnf.has_empty_clause:
-        print("UNSAT")
-        return EXIT_OK
-    if args.solver:
-        sat, model = _run_external_solver(args.solver, cnf)
+        model = None
+    elif args.solver:
+        model = _run_external_solver(args.solver, cnf)
     else:
         try:
-            found = Solver(cnf.clauses, cnf.num_vars).solve()
+            model = Solver(cnf.clauses, cnf.num_vars).solve()
         except SolverBudgetExceeded as e:
             raise ToolError(f"builtin solver gave up: {e}") from None
-        sat, model = found is not None, found or {}
-    if not sat:
+    if model is None:
         print("UNSAT")
         return EXIT_OK
     named = {name: bool(model.get(i + 1, False))
@@ -262,9 +254,7 @@ def cmd_solve(args) -> int:
 
 def cluster_key(max_coefficient: int) -> int:
     """Problems are clustered by ceil(log base 1.9745 of the maximum)."""
-    if max_coefficient <= 1:
-        return 0
-    return math.ceil(math.log(max_coefficient) / math.log(CLUSTER_BASE))
+    return math.ceil(math.log(max(max_coefficient, 1), CLUSTER_BASE))
 
 
 def _gen_multisets(n: int, seed: int, gen_max: int, gen_size: int):

@@ -14,18 +14,22 @@ lists; Biere, SAT Competition 2013).  Two-literal clauses are implication
 lists and unit clauses are permanent first assumptions.  Each assumption is
 a trail level kept after the call (trail reuse; van der Tak, Ramos & Heule,
 JSAT 2011): the next call keeps the longest prefix of levels it still
-assumes, then its other kept literals in their old order, changed literals
-last, so a sweep over input assignments re-propagates mostly what it flips.
-Decisions are undone on every return.  Answers equal a fresh solver's:
-chronological true-first DPLL returns the lexicographically first model
-extending the assumptions, and propagation reaches the same fixpoint, or a
-conflict, in any order.  `steps` counts the clause literals propagation
-reads in a call: two per visited pair, and for a watched clause both
-watches and the literals scanned for a new one.
+assumes and re-assumes the rest fewest sign changes first, ties in the
+caller's order.  A sign change is an assumption of the other sign from the
+variable's last one, so a level dropped on a conflict and assumed again is
+none.  A sweep's slowest inputs thus settle lowest in any listing order
+(Nadel & Ryvchin, SAT 2012).  Decisions are undone on every return.
+Answers equal a fresh solver's: chronological true-first DPLL returns the
+lexicographically first model extending the assumptions, and propagation
+reaches the same fixpoint, or a conflict, in any order.  `steps` counts the
+clause literals propagation reads in a call: two per pair in the
+implication and ternary lists of each literal it takes off the trail, and
+for a watched clause both watches and the literals scanned for a new one.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 
@@ -48,6 +52,8 @@ class Solver:
         self.trail: list[int] = []
         self.levels: list[tuple[int, int]] = []  # (assumption, trail mark)
         self.steps = 0
+        # per variable: the literal last assumed and how often its sign changed
+        self.last, self.flips = [0] * (n + 1), [0] * (n + 1)
         used = set().union(*clauses)  # n+1..2n would alias negative slots
         if 0 in used or max(map(abs, used), default=0) > n:
             bad = 0 if 0 in used else max(used, key=abs)
@@ -68,6 +74,8 @@ class Solver:
                 self.bins[lits[1]].append(lits[0])
             else:
                 units.append(lits)  # [] for an empty clause
+        # clause literals read when l turns false, watched clauses aside
+        self.weight = [2 * (len(b) + len(t)) for b, t in zip(self.bins, self.terns)]
         self.unsat = [] in units or not self._assume(
             [cl[0] for cl in units], float("inf"))
         self.levels.clear()
@@ -82,8 +90,6 @@ class Solver:
     def _assume(self, lits: Sequence[int], max_steps: float) -> bool:
         """Assume each literal on a level of its own; False on a conflict."""
         for lit in lits:
-            if lit == 0 or abs(lit) > self.num_vars:
-                raise ValueError(f"literal {lit} outside variable range")
             if self.val[lit] < 0:
                 return False
             self.levels.append((lit, len(self.trail)))
@@ -95,19 +101,17 @@ class Solver:
     def _set(self, lit: int, max_steps: float) -> bool:
         """Assign the free `lit` and propagate; False on a conflict."""
         val, bins, terns, trail = self.val, self.bins, self.terns, self.trail
-        watches = self.watches
+        watches, weight = self.watches, self.weight
         val[lit], val[-lit] = 1, -1
-        head, steps = len(trail), self.steps
+        steps = self.steps
         trail.append(lit)
-        while head < len(trail):
+        for true in islice(trail, len(trail) - 1, None):
             if steps > max_steps:
                 raise SolverBudgetExceeded(
                     f"undecided after {max_steps} propagation steps")
-            false = -trail[head]
-            head += 1
-            implied = bins[false]
-            steps += 2 * len(implied)
-            for lit in implied:
+            false = -true
+            steps += weight[false]
+            for lit in bins[false]:
                 v = val[lit]
                 if not v:
                     val[lit], val[-lit] = 1, -1
@@ -115,9 +119,7 @@ class Solver:
                 elif v < 0:
                     self.steps = steps
                     return False
-            pairs = terns[false]
-            steps += 2 * len(pairs)
-            for a, b in pairs:
+            for a, b in terns[false]:
                 # values are +1/0/-1: the sum is -1 only for one false and
                 # one free literal, -2 only for two false ones
                 v = val[a] + val[b]
@@ -166,19 +168,24 @@ class Solver:
         if self.unsat:
             return None
         wanted = dict.fromkeys(assumptions)
-        levels = self.levels
+        levels, last, flips = self.levels, self.last, self.flips
         kept = next((i for i, (lit, _) in enumerate(levels)
                      if lit not in wanted), len(levels))
-        order = [lit for lit, _ in levels[kept:] if lit in wanted]
-        for lit, _ in levels:
-            wanted.pop(lit, None)
+        for lit, _ in levels[:kept]:
+            del wanted[lit]
+        bad = [lit for lit in wanted if not 0 < abs(lit) <= self.num_vars]
+        if bad:
+            raise ValueError(f"literal {bad[0]} outside variable range")
+        for lit in wanted:
+            flips[abs(lit)] += last[abs(lit)] == -lit
+            last[abs(lit)] = lit
+        order = sorted(wanted, key=lambda lit: flips[abs(lit)])
         if kept < len(levels):
             self._undo(levels[kept][1])
             del levels[kept:]
         self.steps = 0
         try:
-            return (self._decide(max_steps)
-                    if self._assume(order + list(wanted), max_steps) else None)
+            return self._decide(max_steps) if self._assume(order, max_steps) else None
         except SolverBudgetExceeded:
             self._undo(self.root)
             levels.clear()

@@ -127,6 +127,20 @@ def test_literal_out_of_range_rejected():
         Solver([[1]], 2).solve([0])
 
 
+def test_rejected_assumptions_change_nothing():
+    clauses = [[1, 2], [-1, -2]]
+    solver = Solver(clauses, 2)
+    assert solver.solve([-2, 1]) == {1: True, 2: False}
+    before = (list(solver.levels), list(solver.trail), list(solver.last),
+              list(solver.flips))
+    for bad in ([1, 3], [-3], [2, 0]):
+        with pytest.raises(ValueError):
+            solver.solve(bad)
+        assert (solver.levels, solver.trail, solver.last, solver.flips) == before
+    for assumptions in ([1], [2], [-1, -2], [], [-2, 1], [2, -1]):
+        assert solver.solve(assumptions) == Solver(clauses, 2).solve(assumptions)
+
+
 _PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
                      database=None)
 
@@ -152,9 +166,11 @@ def _sweeps(draw, n):
                 for a in range(1 << n)]  # verify-sweep's order
     product = [[v if b else -v for v, b in enumerate(bits, start=1)]
                for bits in itertools.product([False, True], repeat=n)]
+    gray = [[v if (a ^ a >> 1) >> (v - 1) & 1 else -v for v in range(1, n + 1)]
+            for a in range(1 << n)]  # one flip per call
     partial = draw(st.lists(st.lists(_lit(n), max_size=n + 2), max_size=12))
-    parts = [counting, product, partial]
-    return [a for i in draw(st.permutations(range(3))) for a in parts[i]]
+    parts = [counting, product, gray, partial]
+    return [a for i in draw(st.permutations(range(4))) for a in parts[i]]
 
 
 @_PROPERTY
@@ -242,3 +258,33 @@ def test_solver_leaves_the_callers_clauses_unchanged():
     for bits in itertools.product([False, True], repeat=5):
         solver.solve([v if b else -v for v, b in enumerate(bits, start=1)])
     assert clauses == before
+
+
+def test_levels_keep_the_least_changed_assumptions_lowest():
+    psi = PbConstraint(((2, 1), (2, 2), (3, -3), (5, 4), (7, 5)), 9)
+    bld = CnfBuilder(5)
+    encode_constraint(psi, (2, 3), bld)
+    counting = [[v if a >> (v - 1) & 1 else -v for v in range(1, 6)]
+                for a in range(32)]
+    product = [[v if b else -v for v, b in enumerate(bits, start=1)]
+               for bits in itertools.product([False, True], repeat=5)]
+    # from the slowest input's first change on, the variables on the levels
+    # run from the least changed up; each sweep ends on all five inputs
+    # true, which satisfies psi, so all five levels stay
+    for sweep, slowest_first in ((counting, True), (product, False)):
+        solver = Solver(bld.clauses, bld.num_vars)
+        for i, assumptions in enumerate(sweep):
+            solver.solve(assumptions)
+            got = [abs(lit) for lit, _ in solver.levels]
+            assert i < 16 or got == sorted(got, reverse=slowest_first)
+        want = [5, 4, 3, 2, 1] if slowest_first else [1, 2, 3, 4, 5]
+        assert [lit for lit, _ in solver.levels] == want
+    # 1 forces 2 and 3, which clash: the level of 1 is dropped, and assuming
+    # 1 again is no sign change; assuming -1 is one
+    solver = Solver([[-1, 2], [-1, 3], [-2, -3, -4], [-2, -3, 4], [5, 6]], 6)
+    for _ in range(2):
+        assert solver.solve([5, 4, 1]) is None
+        assert [lit for lit, _ in solver.levels] == [5, 4]
+        assert solver.flips[1] == 0 and solver.last[1] == 1
+    assert solver.solve([5, 4, -1]) is not None
+    assert solver.flips[1] == 1 and solver.last[1] == -1
