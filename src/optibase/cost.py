@@ -145,7 +145,7 @@ class BaseEval:
         mults = mults.astype(np.int64, copy=False)
         suffix = np.zeros(len(values) + 1, dtype=np.int64)
         suffix[:-1] = mults[::-1].cumsum()[::-1]
-        return BaseEval(s, kind, mults, suffix, mults.tolist(),
+        return BaseEval(s, CostKind(kind), mults, suffix, mults.tolist(),
                         suffix.tolist(), (), 1, values, 0,
                         int(values @ mults), 0)
 

@@ -24,18 +24,20 @@ full polarity: a monotone comparator only justifies a true output, so a
 false comparison does not mean a small sum, and a complemented vector
 builds its own network there.
 
-Literals are DIMACS-style signed integers; the TRUE and FALSE sentinels
-fold away structurally and never reach an emitted clause.
+Literals are DIMACS-style signed integers, the constants too: TRUE is
+2**31, one past the last variable ``fresh`` gives, and FALSE is -TRUE, so
+negation is ``-`` throughout.  Every gate folds a constant input, and
+``add_clause`` drops FALSE and a clause holding TRUE, so neither is emitted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .cost import OPTIMAL_NETWORKS, cost_of
-from .mixedradix import Multiset, digits_of
+from .mixedradix import Multiset, digits_of, validate_base
 from .search import SearchConfig, find_base, initial_best
 
 MAX_VARIABLES = 2**31 - 1
@@ -44,30 +46,10 @@ MAX_VARIABLES = 2**31 - 1
 # 2**20 (10**8 comparators) could never be emitted; searched bases stay far below.
 MAX_BUS_INPUTS = 1 << 20
 
+TRUE = MAX_VARIABLES + 1
+FALSE = -TRUE
 
-class _Const:
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __repr__(self):
-        return self._name
-
-
-TRUE = _Const("TRUE")
-FALSE = _Const("FALSE")
-
-Lit = Union[int, _Const]
-
-
-def neg(lit: Lit) -> Lit:
-    if lit is TRUE:
-        return FALSE
-    if lit is FALSE:
-        return TRUE
-    return -lit
-
+Lit = int
 
 UnaryBus = tuple  # ordered literals of a unary (sorted) number
 
@@ -135,12 +117,8 @@ def _disjuncts(lits: Iterable[Lit]) -> list[int] | None:
     """The literals of a disjunction with FALSE and repeats dropped, or None
     when it is true: it holds TRUE or a complementary pair."""
     out: list[int] = []
-    seen: set[int] = set()
+    seen = {FALSE}  # so FALSE drops out and TRUE, its complement, answers None
     for lit in lits:
-        if lit is TRUE:
-            return None
-        if lit is FALSE:
-            continue
         if -lit in seen:
             return None
         if lit not in seen:
@@ -158,9 +136,9 @@ def comparator(a: Lit, b: Lit, bld: CnfBuilder) -> tuple[Lit, Lit]:
     appends [-hi,a,b], [-lo,a], [-lo,b], [-a,hi], [-b,hi], [-a,-b,lo], or
     the first three justification clauses under monotone polarity.
     """
-    if a is TRUE or b is FALSE or a == b:
+    if a == TRUE or b == FALSE or a == b:
         return a, b
-    if b is TRUE or a is FALSE:
+    if b == TRUE or a == FALSE:
         return b, a
     if a == -b:
         return TRUE, FALSE
@@ -175,7 +153,7 @@ def comparator(a: Lit, b: Lit, bld: CnfBuilder) -> tuple[Lit, Lit]:
 
 def _and2(a: Lit, b: Lit, bld: CnfBuilder) -> Lit:
     """Literal equivalent to a and b: the negated or-gate of ~a and ~b."""
-    return neg(_or_many([neg(a), neg(b)], bld))
+    return -_or_many([-a, -b], bld)
 
 
 def _or_many(lits: Sequence[Lit], bld: CnfBuilder) -> Lit:
@@ -264,7 +242,7 @@ def normalizer(sorted_bus: UnaryBus, radix: int, i: int, bld: CnfBuilder) -> Lit
     while t * r + i <= m:
         reach = sorted_bus[t * r + i - 1]
         stop = sorted_bus[(t + 1) * r - 1] if (t + 1) * r <= m else FALSE
-        windows.append(_and2(reach, neg(stop), bld))
+        windows.append(_and2(reach, -stop, bld))
         t += 1
     return _or_many(windows, bld)
 
@@ -281,10 +259,10 @@ def encode_geq(sorted_buses: Sequence[UnaryBus], base: Sequence[int],
     for j, (bus, c) in enumerate(zip(sorted_buses, threshold_digits)):
         r = base[j] if j < len(base) else len(bus) + 1
         ge = normalizer(bus, r, c, bld)
-        if geq is not TRUE:
+        if geq != TRUE:
             ge = _or_many([normalizer(bus, r, c + 1, bld), _and2(ge, geq, bld)], bld)
         geq = ge
-    bld.add_clause([neg(geq) if negated else geq])
+    bld.add_clause([-geq if negated else geq])
 
 
 def encode_constraint(c: PbConstraint, base: Sequence[int],
@@ -296,7 +274,7 @@ def encode_constraint(c: PbConstraint, base: Sequence[int],
     for the complemented vector, through the negated comparison.  Returns
     the sorted buses, or None for a constraint whose coefficients cannot
     reach the threshold: it emits a single empty clause."""
-    base = tuple(base)
+    base = validate_base(base)
     if c.coefficient_sum < c.threshold:
         bld.add_clause([])
         return None

@@ -41,6 +41,7 @@ class SearchConfig:
     timeout: float | None = None
 
     def __post_init__(self):
+        self.kind = CostKind(self.kind)  # a value string names its member
         if self.max_elem < 2:
             raise ValueError("max_elem must be at least 2")
         if self.algorithm not in ALGORITHMS:

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from optibase import encoder
 from optibase.cost import CostKind, comparator_count, cost_of
-from optibase.encoder import (FALSE, TRUE, CnfBuilder, PbConstraint, Cnf,
-                              _and2, _disjuncts, _merge_exchange_pairs,
-                              _or_many, comparator, decompose,
-                              encode_constraint, encode_geq, encode_instance,
-                              neg, sorting_network, to_dimacs)
+from optibase.encoder import (FALSE, MAX_VARIABLES, TRUE, CnfBuilder,
+                              PbConstraint, Cnf, _and2, _disjuncts,
+                              _merge_exchange_pairs, _or_many, comparator,
+                              decompose, encode_constraint, encode_geq,
+                              encode_instance, sorting_network, to_dimacs)
 from optibase.mixedradix import Multiset, digits_of
 from optibase.opb import load_instance
 from optibase.satcheck import Solver
@@ -25,9 +25,9 @@ PSI = PbConstraint(tuple((c, i + 1) for i, c in enumerate([2, 2, 2, 2, 5, 18])),
 
 
 def lit_value(lit, model):
-    if lit is TRUE:
+    if lit == TRUE:
         return True
-    if lit is FALSE:
+    if lit == FALSE:
         return False
     v = model[abs(lit)]
     return v if lit > 0 else not v
@@ -104,9 +104,9 @@ def _folded(clauses):
 
 
 def _reference_comparator(a, b, bld):
-    if a is TRUE or b is FALSE:
+    if a == TRUE or b == FALSE:
         return a, b
-    if b is TRUE or a is FALSE:
+    if b == TRUE or a == FALSE:
         return b, a
     if a == b:
         return a, a
@@ -134,7 +134,7 @@ def test_comparator_matches_the_folded_six_clauses(polarity):
 
 
 def _reference_and2(a, b, bld):
-    return neg(_reference_or_many([neg(a), neg(b)], bld))
+    return -_reference_or_many([-a, -b], bld)
 
 
 def _reference_or_many(lits, bld):
@@ -429,6 +429,19 @@ def test_encode_constraint_equisat_running_example():
         _equisat_check(PSI, base)
 
 
+@pytest.mark.parametrize("base", [(-2,), (0,), (1,)])
+def test_radices_below_two_are_refused(base):
+    # (-2,) used to give a CNF wrong on 4 of the 8 assignments, (0,) a
+    # ZeroDivisionError; the forced base of encode_instance goes the same way
+    c = PbConstraint(((3, 1), (5, 2), (6, 3)), 8)
+    with pytest.raises(ValueError, match="invalid radix"):
+        encode_constraint(c, base, CnfBuilder(3))
+    with pytest.raises(ValueError, match="invalid radix"):
+        encode_instance([c], 3, SearchConfig(kind=CostKind.SUM_DIGITS),
+                        forced_base=base)
+    _equisat_check(c, (2,))
+
+
 def _random_constraint(rng, max_vars=5, max_coef=20):
     n = rng.randint(1, max_vars)
     terms = []
@@ -709,7 +722,10 @@ def test_fresh_variable_budget_guard():
 
 
 def test_neg_and_clause_folding():
-    assert neg(TRUE) is FALSE and neg(FALSE) is TRUE and neg(3) == -3
+    assert -TRUE == FALSE and TRUE > MAX_VARIABLES
+    # the solver's range check refuses a constant that leaked into a clause
+    with pytest.raises(ValueError):
+        Solver([[1, TRUE]], 1)
     bld = CnfBuilder(2)
     bld.add_clause([1, TRUE, 2])      # satisfied, dropped
     bld.add_clause([1, FALSE, 2])     # FALSE drops out

@@ -273,6 +273,24 @@ def test_search_config_primes_default_follows_the_cost():
     assert SearchConfig(kind=CostKind.SUM_DIGITS, timeout=0.0).timeout == 0.0
 
 
+def test_cost_kind_is_coerced_from_its_value():
+    # "comp" used to search and cost as digits: (2, 3, 2, 2, 2) at cost 9
+    s = Multiset.of([16, 30, 54, 60])
+    cfg = SearchConfig(kind="comp")
+    assert cfg.kind is CostKind.NUM_COMP and cfg.primes_only is False
+    assert SearchConfig(kind="digits").primes_only is True
+    r, member = find_base(s, cfg), find_base(s, SearchConfig(kind=CostKind.NUM_COMP))
+    assert (r.best_base, r.best_cost) == (member.best_base, member.best_cost) \
+        == ((3, 2, 2, 2, 2), 8)
+    assert cost_of("comp", s, (3, 2, 2, 2, 2)) == 8
+    assert BaseEval.root(s, "carry").kind is CostKind.SUM_CARRY
+    for bad in ("bogus", "NUM_COMP", None):
+        with pytest.raises(ValueError):
+            SearchConfig(kind=bad)
+        with pytest.raises(ValueError):
+            cost_of(bad, s, (2,))
+
+
 def test_timeout_returns_best_so_far():
     rng = random.Random(17)
     s = Multiset.of([rng.randint(1, 2**31 - 1) for _ in range(8)])
