@@ -15,6 +15,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
@@ -71,18 +72,12 @@ def _search_config(args) -> SearchConfig:
                         timeout=args.timeout)
 
 
-def _parse_multiset(text: str) -> Multiset:
+def _parse_ints(make, what: str, text: str):
+    """``make`` (Multiset.of or validate_base) of a comma or space list."""
     try:
-        return Multiset.of(int(t) for t in text.replace(",", " ").split())
+        return make(int(t) for t in text.replace(",", " ").split())
     except ValueError as e:
-        raise UsageError(f"bad multiset {text!r}: {e}") from None
-
-
-def _parse_base(text: str) -> tuple[int, ...]:
-    try:
-        return validate_base(int(t) for t in text.replace(",", " ").split())
-    except ValueError as e:
-        raise UsageError(f"bad base {text!r}: {e}") from None
+        raise UsageError(f"bad {what} {text!r}: {e}") from None
 
 
 def _fmt_base(base) -> str:
@@ -108,7 +103,7 @@ def cmd_find_base(args) -> int:
     cfg = _search_config(args)
     results = []  # (label, multiset, result), or (label, None, error text)
     if args.set is not None:
-        s = _parse_multiset(args.set)
+        s = _parse_ints(Multiset.of, "multiset", args.set)
         results.append(("set", s, find_base(s, cfg)))
     else:
         inst = load_instance(Path(args.opb).read_text())
@@ -158,7 +153,8 @@ def _encode_options(p: argparse.ArgumentParser) -> None:
 def _encode(args, text: str):
     inst = load_instance(text, saturate=args.saturate)
     cfg = _search_config(args)
-    forced = _parse_base(args.base) if args.base is not None else None
+    forced = (_parse_ints(validate_base, "base", args.base)
+              if args.base is not None else None)
     cnf, stats = encode_instance(
         inst.constraints, len(inst.names), cfg,
         forced_base=forced, fallback_binary=args.fallback_binary,
@@ -387,14 +383,11 @@ def cmd_bench(args) -> int:
                 "time_s": round(sum(timed) / len(timed), 6) if timed else "",
             })
 
-    out = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
-    try:
+    with (nullcontext(sys.stdout) if args.out == "-"
+          else open(args.out, "w", newline="")) as out:
         writer = csv.DictWriter(out, fieldnames=_CSV_FIELDS, restval="")
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 

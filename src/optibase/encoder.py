@@ -231,20 +231,14 @@ def normalizer(sorted_bus: UnaryBus, radix: int, i: int, bld: CnfBuilder) -> Lit
     so a radix past the bus costs nothing, and radix m + 1 reads the bus
     line itself.  Every radix-th output of the bus is a carry.
     """
-    m = len(sorted_bus)
-    r = radix
+    m, r = len(sorted_bus), radix
     if i <= 0:
         return TRUE
     if i >= min(r, m + 1):
         return FALSE
-    windows: list[Lit] = []
-    t = 0
-    while t * r + i <= m:
-        reach = sorted_bus[t * r + i - 1]
-        stop = sorted_bus[(t + 1) * r - 1] if (t + 1) * r <= m else FALSE
-        windows.append(_and2(reach, -stop, bld))
-        t += 1
-    return _or_many(windows, bld)
+    return _or_many([_and2(sorted_bus[t * r + i - 1],
+                           -sorted_bus[(t + 1) * r - 1] if (t + 1) * r <= m else TRUE,
+                           bld) for t in range((m - i) // r + 1)], bld)
 
 
 def encode_geq(sorted_buses: Sequence[UnaryBus], base: Sequence[int],
@@ -357,7 +351,7 @@ def encode_instance(
     """
     bld = CnfBuilder(num_input_vars, polarity=polarity)
     searched: dict[Multiset, tuple[tuple[int, ...], bool]] = {}
-    forced = tuple(forced_base) if forced_base is not None else None
+    forced = validate_base(forced_base) if forced_base is not None else None
     first: dict[int, int] = {}  # id of a network's sorted buses -> who built it
     stats: list[ConstraintStats] = []
     for idx, pc in enumerate(constraints):

@@ -9,6 +9,8 @@ where every number is a single digit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import index, mul
 from typing import Iterable, Sequence
 
 Base = tuple[int, ...]
@@ -21,8 +23,16 @@ MAX_ELEMENT = 1 << 62
 MAX_SUM = 1 << 63
 
 
-def validate_base(radices: Sequence[int]) -> Base:
-    base = tuple(int(r) for r in radices)
+def _integers(values: Iterable[int]) -> tuple[int, ...]:
+    """Python ints of ints and numpy integers; a ValueError for 2.7 or "3"."""
+    try:
+        return tuple(map(index, values))
+    except TypeError as e:
+        raise ValueError(str(e)) from None
+
+
+def validate_base(radices: Iterable[int]) -> Base:
+    base = _integers(radices)
     for r in base:
         if not 2 <= r <= MAX_ELEMENT:
             raise ValueError(
@@ -32,10 +42,7 @@ def validate_base(radices: Sequence[int]) -> Base:
 
 def weights(base: Sequence[int]) -> tuple[int, ...]:
     """Positional weights: w[0] = 1 and w[i+1] = w[i] * base[i]."""
-    out = [1]
-    for r in base:
-        out.append(out[-1] * r)
-    return tuple(out)
+    return tuple(accumulate(base, mul, initial=1))
 
 
 def digits_of(value: int, base: Sequence[int]) -> DigitVector:
@@ -63,7 +70,7 @@ class Multiset:
 
     @staticmethod
     def of(values: Iterable[int]) -> "Multiset":
-        elems = tuple(sorted(int(v) for v in values))
+        elems = tuple(sorted(_integers(values)))
         if not elems:
             raise ValueError("multiset must be non-empty")
         if elems[0] < 1:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd
+from operator import eq, ge, le
 
 from .encoder import PbConstraint
 from .mixedradix import Multiset
@@ -26,6 +27,9 @@ class OpbParseError(ValueError):
         super().__init__(f"line {line}, column {col}: {message}")
         self.line = line
         self.col = col
+
+
+_RELATIONS = {">=": ge, "<=": le, "=": eq}  # relation -> test of (lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -39,18 +43,8 @@ class RawConstraint:
     line: int = 0
 
     def holds(self, assignment: dict[str, bool]) -> bool:
-        total = 0
-        for coef, name, negated in self.terms:
-            v = assignment[name]
-            if negated:
-                v = not v
-            if v:
-                total += coef
-        if self.relation == ">=":
-            return total >= self.rhs
-        if self.relation == "<=":
-            return total <= self.rhs
-        return total == self.rhs
+        total = sum(c for c, name, neg in self.terms if assignment[name] != neg)
+        return _RELATIONS[self.relation](total, self.rhs)
 
 
 @dataclass
@@ -64,9 +58,6 @@ class PbInstance:
     def skipped_objective(self) -> bool:
         """The objective is parsed but not encoded (decision-only)."""
         return self.objective is not None
-
-    def name_of(self, var: int) -> str:
-        return self.names[var - 1]
 
 
 _TOKEN = re.compile(r"\S+")
@@ -102,7 +93,7 @@ def parse(text: str) -> tuple[list[RawConstraint], tuple | None]:
                     raise OpbParseError("second objective line", line, col)
                 i += 1
                 continue
-        if tok in (">=", "<=", "="):
+        if tok in _RELATIONS:
             if head[0] == "min:":
                 raise OpbParseError("relation inside objective", line, col)
             rhs = _parse_int(*toks[i + 1])
@@ -169,22 +160,15 @@ def normalize(rc: RawConstraint, ids: dict[str, int],
     rhs = rc.rhs
     net: dict[int, int] = {}
     for coef, name, negated in rc.terms:
-        if name not in ids:
-            ids[name] = len(ids) + 1
-        var = ids[name]
+        var = ids.setdefault(name, len(ids) + 1)
         if negated:
             rhs -= coef
             coef = -coef
         net[var] = net.get(var, 0) + coef
 
-    terms: list[tuple[int, int]] = []
-    for var in sorted(net):
-        coef = net[var]
-        if coef > 0:
-            terms.append((coef, var))
-        elif coef < 0:
-            terms.append((-coef, -var))
-            rhs += -coef
+    # a negative net coefficient flips onto the complement: -c*x = c*~x - c
+    terms = [(c, var) if c > 0 else (-c, -var) for var, c in sorted(net.items()) if c]
+    rhs -= sum(c for c in net.values() if c < 0)
     if rhs <= 0:
         return []
 
@@ -224,7 +208,7 @@ def instance_to_opb(inst: PbInstance) -> str:
     for pc in inst.constraints:
         parts = []
         for coef, lit in pc.terms:
-            name = inst.name_of(abs(lit))
+            name = inst.names[abs(lit) - 1]
             parts.append(f"+{coef} {'~' if lit < 0 else ''}{name}")
         parts.append(f">= {pc.threshold} ;")
         lines.append(" ".join(parts))

@@ -18,23 +18,43 @@ assumes and re-assumes the rest fewest sign changes first, ties in the
 caller's order.  A sign change is an assumption of the other sign from the
 variable's last one, so a level dropped on a conflict and assumed again is
 none.  A sweep's slowest inputs thus settle lowest in any listing order
-(Nadel & Ryvchin, SAT 2012).  Decisions are undone on every return.
-Answers equal a fresh solver's: chronological true-first DPLL returns the
-lexicographically first model extending the assumptions, and propagation
-reaches the same fixpoint, or a conflict, in any order.  `steps` counts the
-clause literals propagation reads in a call: two per pair in the
-implication and ternary lists of each literal it takes off the trail, and
-for a watched clause both watches and the literals scanned for a new one.
+(Nadel & Ryvchin, SAT 2012).  Decisions are undone on every return.  A SAT
+answer is a read-only mapping over a copy of the values taken just before,
+as MiniSat copies its model (Eén & Sörensson, SAT 2003).  Answers equal a
+fresh solver's: chronological true-first DPLL returns the lexicographically
+first model extending the assumptions, and propagation reaches the same
+fixpoint, or a conflict, in any order.  `steps` counts the clause literals
+propagation reads in a call: two per pair in the implication and ternary
+lists of each literal it takes off the trail, and for a watched clause both
+watches and the literals scanned for a new one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import islice
-from typing import Iterable, Optional, Sequence
 
 
 class SolverBudgetExceeded(RuntimeError):
     """Raised when the step budget runs out; never silently undecided."""
+
+
+class _Model(Mapping[int, bool]):
+    """One answer: variable v is true when signs[v - 1] > 0, for v in 1..n."""
+
+    def __init__(self, signs: list[int]):
+        self.signs = signs
+
+    def __getitem__(self, var: int) -> bool:
+        if var in range(1, len(self.signs) + 1):
+            return self.signs[var - 1] > 0
+        raise KeyError(var)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(1, len(self.signs) + 1))
+
+    def __len__(self) -> int:
+        return len(self.signs)
 
 
 class Solver:
@@ -163,8 +183,9 @@ class Solver:
         return True
 
     def solve(self, assumptions: Iterable[int] = (),
-              max_steps: int = 20_000_000) -> Optional[dict[int, bool]]:
-        """A model extending the assumptions, or None if unsatisfiable."""
+              max_steps: int = 20_000_000) -> Mapping[int, bool] | None:
+        """A model extending the assumptions, or None if unsatisfiable; the
+        model is a read-only mapping over its own copy of the values."""
         if self.unsat:
             return None
         wanted = dict.fromkeys(assumptions)
@@ -191,7 +212,7 @@ class Solver:
             levels.clear()
             raise
 
-    def _decide(self, max_steps: int) -> Optional[dict[int, bool]]:
+    def _decide(self, max_steps: int) -> Mapping[int, bool] | None:
         """Chronological DPLL above the assumption levels; a flipped
         decision stays as a forced literal.  Undoes every decision."""
         val, n, trail, start = self.val, self.num_vars, self.trail, len(self.trail)
@@ -199,7 +220,7 @@ class Solver:
         var = 1  # every variable below the newest decision is assigned
         while True:
             if len(trail) == n:  # each variable is on the trail once
-                model = dict(zip(range(1, n + 1), map((0).__lt__, val[1:n + 1])))
+                model = _Model(val[1:n + 1])
                 self._undo(start)
                 return model
             while val[var]:  # stops at a free variable, so at most at n

@@ -548,6 +548,18 @@ def test_encode_instance_statically_unsat_and_fallback():
     assert stats[1].base == (2, 3) and not stats[1].fallback_binary
 
 
+def test_forced_base_is_checked_without_a_satisfiable_constraint():
+    # every constraint is statically unsatisfiable, so none reaches
+    # encode_constraint; the forced base is still refused
+    cfg = SearchConfig(kind=CostKind.SUM_DIGITS)
+    unsat = PbConstraint(((1, 1), (1, 2)), 5)
+    for base in ((1,), (0,), (2, 2.5)):
+        with pytest.raises(ValueError):
+            encode_instance([unsat], 2, cfg, forced_base=base)
+    cnf, stats = encode_instance([unsat], 2, cfg, forced_base=[2])
+    assert cnf.clauses == [[]] and stats[0].statically_unsat
+
+
 def test_encode_instance_forced_base_stats():
     cfg = SearchConfig(kind=CostKind.SUM_CARRY, max_elem=50, primes_only=False)
     cnf, stats = encode_instance([PSI], 6, cfg, forced_base=(2, 3, 3))

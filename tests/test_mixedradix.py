@@ -1,6 +1,7 @@
 import random
 from math import prod as product
 
+import numpy as np
 import pytest
 
 from optibase.mixedradix import Multiset, digits_of, validate_base, weights
@@ -186,3 +187,22 @@ def test_validate_base():
         validate_base([2, 2**62 + 1])
     with pytest.raises(ValueError):
         validate_base([2**64])
+
+
+def test_non_integral_values_are_refused():
+    # int() used to truncate these to (2, 3) and (2, 5); a ValueError, not a
+    # TypeError, keeps the CLI's exit code 1
+    with pytest.raises(ValueError, match="integer"):
+        validate_base([2.7, 3.9])
+    with pytest.raises(ValueError, match="integer"):
+        Multiset.of([2.7, 5.9])
+    for bad in ("3", None):
+        with pytest.raises(ValueError):
+            validate_base([2, bad])
+        with pytest.raises(ValueError):
+            Multiset.of([2, bad])
+    # numpy integers are integers, and come back as Python ints
+    base = validate_base(np.array([3, 2], dtype=np.int64))
+    assert base == (3, 2) and all(type(r) is int for r in base)
+    s = Multiset.of(np.array([5, 2], dtype=np.int32))
+    assert s.elements == (2, 5) and all(type(v) is int for v in s)

@@ -203,6 +203,6 @@ def test_ids_dense_in_first_appearance_order():
     inst = load_instance("+1 x7 +1 x3 >= 1 ;\n+1 x3 +1 x9 >= 1 ;\n")
     assert inst.names == ["x7", "x3", "x9"]
     # names[i - 1] names variable id i, as the constraints use it
-    assert [inst.name_of(lit) for pc in inst.constraints
+    assert [inst.names[lit - 1] for pc in inst.constraints
             for _, lit in pc.terms] == ["x7", "x3", "x3", "x9"]
     assert [rc.line for rc in inst.raws] == [1, 2]

@@ -193,6 +193,62 @@ def test_model_is_the_first_in_branching_order(cnf, data):
     assert Solver(clauses, n).solve(assumptions) == want
 
 
+class _Snapshots(Solver):
+    """Keeps the values each undo starts from: after a SAT answer, the last
+    are the answer's own, read before its decisions were undone."""
+
+    def _undo(self, mark):
+        self.before_undo = self.val[1:self.num_vars + 1]
+        super()._undo(mark)
+
+
+@_PROPERTY
+@given(_clause_sets(), st.data())
+def test_every_answer_equals_a_dict_of_the_solvers_values(cnf, data):
+    # answers read as dicts of the values they were found with, and keep
+    # reading so while the same solver answers later calls
+    n, clauses = cnf
+    solver = _Snapshots(clauses, n)
+    answers = []
+    for assumptions in _sweeps(data.draw, n):
+        model = solver.solve(assumptions)
+        if model is not None:
+            want = {v: sign > 0 for v, sign in
+                    enumerate(solver.before_undo, start=1)}
+            assert model == want and want == model
+            answers.append((model, want))
+    for model, want in answers:
+        assert dict(model) == want and list(model) == list(range(1, n + 1))
+
+
+def test_model_from_an_earlier_call_is_unchanged():
+    solver = Solver([[1, 2], [-1, -2]], 3)
+    first = solver.solve([1])
+    want = {1: True, 2: False, 3: True}
+    assert first == want
+    # the call keeps the level of 1 (and 2 false) but frees the decision on
+    # 3; later calls change all three
+    for assumptions in ([2, -3], [1, 2], [-3], [-1]):
+        solver.solve(assumptions)
+    assert first == want and dict(first) == want
+
+
+def test_model_reads_as_a_mapping():
+    model = Solver([[-1], [1, 2]], 3).solve()
+    assert list(model) == [1, 2, 3] and len(model) == 3
+    assert model[1] is False and model[2] is True and model[3] is True
+    assert model.get(2) is True and model.get(4, "free") == "free"
+    assert model.get(0) is None and model.get(-1, False) is False
+    for missing in (0, 4, -1, "x1"):
+        with pytest.raises(KeyError):
+            model[missing]
+    assert 3 in model and 0 not in model and 4 not in model
+    assert list(model.items()) == [(1, False), (2, True), (3, True)]
+    with pytest.raises(TypeError):
+        model[1] = True
+    assert len(Solver([], 0).solve()) == 0  # == {}: test_empty_cnf_is_sat
+
+
 def test_three_literal_clauses_agree_with_the_oracle():
     cases = [
         # a tautology never forces 2, even with 1 and 2 false
