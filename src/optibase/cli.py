@@ -51,17 +51,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _search_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cost", choices=sorted(k.value for k in CostKind),
-                   default="digits",
+    p.add_argument("--cost", choices=sorted(k.value for k in CostKind), default="digits",
                    help="cost function to minimize (default digits)")
     p.add_argument("--algo", choices=list(ALGORITHMS),
                    default=SearchConfig.algorithm)
     p.add_argument("--max-elem", type=int, default=SearchConfig.max_elem,
                    help="largest base element considered (default %(default)s)")
-    p.add_argument("--primes-only", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="restrict base elements to primes "
-                        "(default: on for digits, off for carry/comp)")
+    p.add_argument("--primes-only", action=argparse.BooleanOptionalAction, default=None, help=(
+        "restrict base elements to primes (default: on for digits, off for carry/comp)"))
     p.add_argument("--timeout", type=float, default=SEARCH_TIMEOUT_S,
                    help="base-search timeout in seconds (default %(default)g)")
 
@@ -85,17 +82,11 @@ def _fmt_base(base) -> str:
 
 
 def _result_dict(s: Multiset, res) -> dict:
-    return {
-        "multiset": list(s.elements),
-        "base": list(res.best_base),
-        "cost": res.best_cost,
-        "algorithm": res.algorithm,
-        "optimal_guaranteed": res.optimal_guaranteed,
-        "timed_out": res.timed_out,
-        "nodes_expanded": res.nodes_expanded,
-        "nodes_pruned": res.nodes_pruned,
-        "elapsed_s": round(res.elapsed, 6),
-    }
+    return {"multiset": list(s.elements), "base": list(res.best_base),
+            "cost": res.best_cost, "algorithm": res.algorithm,
+            "optimal_guaranteed": res.optimal_guaranteed, "timed_out": res.timed_out,
+            "nodes_expanded": res.nodes_expanded, "nodes_pruned": res.nodes_pruned,
+            "elapsed_s": round(res.elapsed, 6)}
 
 
 def cmd_find_base(args) -> int:
@@ -129,10 +120,9 @@ def cmd_find_base(args) -> int:
             prefix = f"{label}: " if args.opb else ""
             print(f"{prefix}base: {_fmt_base(res.best_base)}")
             print(f"{prefix}cost: {res.best_cost} ({args.cost})")
-            guar = "yes" if res.optimal_guaranteed else "no"
-            print(f"{prefix}algorithm: {res.algorithm} optimal-guaranteed: {guar} "
-                  f"expanded: {res.nodes_expanded} pruned: {res.nodes_pruned} "
-                  f"elapsed: {res.elapsed:.3f}s")
+            print(f"{prefix}algorithm: {res.algorithm} optimal-guaranteed: "
+                  f"{'yes' if res.optimal_guaranteed else 'no'} expanded: {res.nodes_expanded} "
+                  f"pruned: {res.nodes_pruned} elapsed: {res.elapsed:.3f}s")
     return EXIT_USAGE if any(s is None for _, s, _ in results) else EXIT_OK
 
 
@@ -140,10 +130,8 @@ def _encode_options(p: argparse.ArgumentParser) -> None:
     _search_options(p)
     p.add_argument("--base", default=None,
                    help="force this base for every constraint, e.g. '2,3,3'")
-    p.add_argument("--fallback-binary", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="fall back to the binary base when a base search "
-                        "times out (default on)")
+    p.add_argument("--fallback-binary", action=argparse.BooleanOptionalAction, default=True,
+                   help="fall back to the binary base when a base search times out (default on)")
     p.add_argument("--polarity", choices=["full", "monotone"], default="full",
                    help="comparator clause scheme (default full, 6 clauses)")
     p.add_argument("--saturate", action="store_true",
@@ -153,25 +141,19 @@ def _encode_options(p: argparse.ArgumentParser) -> None:
 def _encode(args, text: str):
     inst = load_instance(text, saturate=args.saturate)
     cfg = _search_config(args)
-    forced = (_parse_ints(validate_base, "base", args.base)
-              if args.base is not None else None)
+    forced = None if args.base is None else _parse_ints(validate_base, "base", args.base)
     cnf, stats = encode_instance(
         inst.constraints, len(inst.names), cfg,
         forced_base=forced, fallback_binary=args.fallback_binary,
         polarity=args.polarity)
-    comments = [f"optibase encode cost={args.cost} algo={args.algo}"]
-    for i, name in enumerate(inst.names, start=1):
-        comments.append(f"var {i} = {name}")
-    for st in stats:
-        comments.append(
-            f"constraint {st.index}: base={_fmt_base(st.base)} "
-            f"cost={st.cost_kind}:{st.cost_value} clauses={st.clauses} "
-            f"vars={st.vars} comparators={st.comparators} "
-            f"networks={','.join(map(str, st.network_sizes))}")
-    comments.append(
-        f"totals: constraints={len(stats)} vars={cnf.num_vars} "
-        f"clauses={len(cnf.clauses)}")
-    cnf.comments = comments
+    cnf.comments = [
+        f"optibase encode cost={args.cost} algo={args.algo}",
+        *(f"var {i} = {name}" for i, name in enumerate(inst.names, start=1)),
+        *(f"constraint {st.index}: base={_fmt_base(st.base)} "
+          f"cost={st.cost_kind}:{st.cost_value} clauses={st.clauses} "
+          f"vars={st.vars} comparators={st.comparators} "
+          f"networks={','.join(map(str, st.network_sizes))}" for st in stats),
+        f"totals: constraints={len(stats)} vars={cnf.num_vars} clauses={len(cnf.clauses)}"]
     return inst, cnf, stats
 
 
@@ -179,18 +161,10 @@ def cmd_encode(args) -> int:
     inst, cnf, stats = _encode(args, Path(args.input).read_text())
     unsat = cnf.has_empty_clause
     Path(args.output).write_text(to_dimacs(cnf))
-    stats_path = args.stats or args.output + ".stats.json"
-    payload = {
-        "constraints": [asdict(st) for st in stats],
-        "totals": {
-            "constraints": len(stats),
-            "vars": cnf.num_vars,
-            "clauses": len(cnf.clauses),
-            "comparators": sum(st.comparators for st in stats),
-            "statically_unsat": unsat,
-        },
-    }
-    Path(stats_path).write_text(json.dumps(payload, indent=2) + "\n")
+    totals = {"constraints": len(stats), "vars": cnf.num_vars, "clauses": len(cnf.clauses),
+              "comparators": sum(st.comparators for st in stats), "statically_unsat": unsat}
+    payload = {"constraints": [asdict(st) for st in stats], "totals": totals}
+    Path(args.stats or args.output + ".stats.json").write_text(json.dumps(payload, indent=2) + "\n")
     if inst.skipped_objective:
         print("warning: objective line ignored (decision-only encoding)",
               file=sys.stderr)
@@ -209,8 +183,7 @@ def _run_external_solver(path: str, cnf: Cnf) -> dict[int, bool] | None:
     if proc.returncode not in (0, 10, 20):
         raise ToolError(f"solver exited with status {proc.returncode}: "
                         f"{proc.stderr.strip()[:200]}")
-    status = None
-    lits: list[int] = []
+    status, lits = None, []
     for line in proc.stdout.splitlines():
         if line.startswith("s "):
             status = line[2:].strip()
@@ -318,12 +291,9 @@ def _bench_one(name, elems, cfg):
     }
     try:
         res = find_base(Multiset.of(elems), cfg)
-        row.update(status="timeout" if res.timed_out else "ok",
-                   best_cost=res.best_cost,
-                   base=" ".join(map(str, res.best_base)),
-                   nodes_expanded=res.nodes_expanded,
-                   nodes_pruned=res.nodes_pruned,
-                   time_s=round(res.elapsed, 6))
+        row.update(status="timeout" if res.timed_out else "ok", best_cost=res.best_cost,
+                   base=" ".join(map(str, res.best_base)), nodes_expanded=res.nodes_expanded,
+                   nodes_pruned=res.nodes_pruned, time_s=round(res.elapsed, 6))
     except Exception as e:  # keep going past per-problem failures
         # the writer's restval blanks the result cells
         row.update(status="error", error=str(e)[:120])
@@ -341,8 +311,7 @@ def cmd_bench(args) -> int:
     if args.emit_opb is not None and not args.amplify_31:
         raise UsageError("--emit-opb writes only --amplify-31 instances")
     if args.gen is not None:
-        problems = _gen_multisets(args.gen, args.seed, args.gen_max,
-                                  args.gen_size)
+        problems = _gen_multisets(args.gen, args.seed, args.gen_max, args.gen_size)
     else:
         if not Path(args.opb_dir).is_dir():
             raise ToolError(f"--opb-dir {args.opb_dir}: not a directory")
@@ -363,9 +332,8 @@ def cmd_bench(args) -> int:
             except ValueError:
                 raise UsageError(f"unknown cost {cost!r}") from None
             for max_elem in (int(t) for t in args.max_elems.split(",")):
-                configs.append(SearchConfig(
-                    kind=kind, max_elem=max_elem, primes_only=primes,
-                    algorithm=algo, timeout=args.timeout))
+                configs.append(SearchConfig(kind=kind, max_elem=max_elem, primes_only=primes,
+                                            algorithm=algo, timeout=args.timeout))
 
     # config-major: config i owns rows[i * n:(i + 1) * n]
     rows = [_bench_one(name, elems, cfg) for cfg in configs for name, elems in problems]

@@ -55,23 +55,8 @@ import numpy as np
 
 from .mixedradix import Multiset
 
-# Known optimal sorting networks up to 8 inputs, as exchange lists.
-OPTIMAL_NETWORKS: dict[int, tuple[tuple[int, int], ...]] = {
-    0: (),
-    1: (),
-    2: ((0, 1),),
-    3: ((0, 1), (0, 2), (1, 2)),
-    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
-    5: ((0, 1), (3, 4), (2, 4), (2, 3), (1, 4), (0, 3), (0, 2), (1, 3),
-        (1, 2)),
-    6: ((1, 2), (4, 5), (0, 2), (3, 5), (0, 1), (3, 4), (2, 5), (0, 3),
-        (1, 4), (2, 4), (1, 3), (2, 3)),
-    7: ((1, 2), (3, 4), (5, 6), (0, 2), (3, 5), (4, 6), (0, 1), (4, 5),
-        (2, 6), (0, 4), (1, 5), (0, 3), (2, 5), (1, 3), (2, 4), (2, 3)),
-    8: ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (1, 3), (4, 6), (5, 7),
-        (1, 2), (5, 6), (0, 4), (3, 7), (1, 5), (2, 6), (1, 4), (3, 6),
-        (2, 4), (3, 5), (3, 4)),
-}
+# Sizes of the known optimal sorting networks up to 8 inputs.
+OPTIMAL_SIZES = (0, 0, 1, 3, 5, 9, 12, 16, 19)
 
 
 class CostKind(enum.Enum):
@@ -86,14 +71,15 @@ def comparator_count(n: int) -> int:
     Sizes of the known optimal networks up to 8 inputs; the odd-even
     mergesort formula n*ceil(log2 n)*(ceil(log2 n)-1)/4 + n - 1 beyond
     (evaluated in integers, rounding the rare fractional case down).
-    On distinct inputs, merge exchange matches it up to 8 and at powers of
-    two, emits fewer at most other sizes and more at 54 in 9..1099 (by at
-    most 35, n = 1013).  It also overcounts where a bus repeats a literal.
+    On distinct inputs, the encoder's pairwise network matches it up to 8
+    and at powers of two, has fewer at most other sizes and more at 54 in
+    9..1099 (by at most 35, n = 1013).  What the encoder emits falls below
+    it where a bus repeats a literal and where outputs go unread.
     """
     if n < 0:
         raise ValueError("network size cannot be negative")
     if n <= 8:
-        return len(OPTIMAL_NETWORKS[n])
+        return OPTIMAL_SIZES[n]
     levels = (n - 1).bit_length()
     return n * levels * (levels - 1) // 4 + n - 1
 
@@ -103,8 +89,7 @@ def comparator_count(n: int) -> int:
 _EDGES = np.array([*range(9), *(1 << L for L in range(4, 63))], dtype=np.int64)
 _SLOPES = np.array([0] * 9 + [L * (L - 1) // 2 + 2 for L in range(4, 63)],
                    dtype=np.int64)
-_OFFSETS = np.array([len(OPTIMAL_NETWORKS[n]) for n in range(9)] + [-1] * 59,
-                    dtype=np.int64)
+_OFFSETS = np.array(OPTIMAL_SIZES + (-1,) * 59, dtype=np.int64)
 
 
 def _comparator_count_vec(n: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ def validate_base(radices: Iterable[int]) -> Base:
 
 def weights(base: Sequence[int]) -> tuple[int, ...]:
     """Positional weights: w[0] = 1 and w[i+1] = w[i] * base[i]."""
-    return tuple(accumulate(base, mul, initial=1))
+    return tuple(accumulate(validate_base(base), mul, initial=1))
 
 
 def digits_of(value: int, base: Sequence[int]) -> DigitVector:
@@ -52,13 +52,11 @@ def digits_of(value: int, base: Sequence[int]) -> DigitVector:
     """
     if value < 0:
         raise ValueError("cannot take digits of a negative value")
-    digits = []
-    rest = value
-    for r in base:
+    digits, rest = [], value
+    for r in validate_base(base):
         rest, d = divmod(rest, r)
         digits.append(d)
-    digits.append(rest)
-    return tuple(digits)
+    return (*digits, rest)
 
 
 @dataclass(frozen=True)

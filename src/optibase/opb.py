@@ -25,8 +25,7 @@ from .mixedradix import Multiset
 class OpbParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, column {col}: {message}")
-        self.line = line
-        self.col = col
+        self.line, self.col = line, col
 
 
 _RELATIONS = {">=": ge, "<=": le, "=": eq}  # relation -> test of (lhs, rhs)
@@ -146,15 +145,10 @@ def normalize(rc: RawConstraint, ids: dict[str, int],
     Saturation (clamping coefficients to the threshold) is available but
     off by default, since it changes the multisets the base search sees.
     """
-    if rc.relation == "=":
-        ge = RawConstraint(rc.terms, ">=", rc.rhs, rc.line)
-        neg_terms = tuple((-c, n, neg) for c, n, neg in rc.terms)
-        le = RawConstraint(neg_terms, ">=", -rc.rhs, rc.line)
-        return normalize(ge, ids, saturate) + normalize(le, ids, saturate)
-    if rc.relation == "<=":
-        flipped = RawConstraint(tuple((-c, n, neg) for c, n, neg in rc.terms),
-                                ">=", -rc.rhs, rc.line)
-        return normalize(flipped, ids, saturate)
+    if rc.relation != ">=":  # = is a >= and a negated >=; <= the negated one
+        le = RawConstraint(tuple((-c, n, neg) for c, n, neg in rc.terms), ">=", -rc.rhs, rc.line)
+        ge = [RawConstraint(rc.terms, ">=", rc.rhs, rc.line)] if rc.relation == "=" else []
+        return [pc for r in [*ge, le] for pc in normalize(r, ids, saturate)]
 
     # fold negated literals into coefficients on the positive variable
     rhs = rc.rhs

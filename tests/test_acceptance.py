@@ -11,9 +11,8 @@ from contextlib import contextmanager
 from functools import lru_cache
 from math import prod as product
 
-from optibase.cost import (OPTIMAL_NETWORKS, BaseEval, CostKind,
-                           comparator_count, cost_of)
-from optibase.encoder import (CnfBuilder, PbConstraint, _merge_exchange_pairs,
+from optibase.cost import BaseEval, CostKind, comparator_count, cost_of
+from optibase.encoder import (CnfBuilder, PbConstraint, _pairwise_pairs, _plans,
                               decompose, encode_constraint, sorting_network)
 from optibase.mixedradix import Multiset, digits_of
 from optibase.satcheck import Solver
@@ -145,8 +144,8 @@ def _equisat_sweep():
     full assignment vs constraint arithmetic, plus network statistics."""
     rng = random.Random(20241)
     mismatches = []
-    networks = []       # (size, emitted, replayed new pairs, any pair folded)
-    per_constraint = []  # (regular and unfolded, comparators, comp cost, replayed)
+    networks = []       # (size, emitted, replayed new pairs, any pair folded, planned)
+    per_constraint = []  # (regular and unfolded, comparators, comp cost, replayed, planned)
     for _ in range(500):
         c = _random_constraint(rng)
         s = Multiset.of([coef for coef, _ in c.terms])
@@ -164,10 +163,11 @@ def _equisat_sweep():
                 per = _per_network(c, base)
                 networks.extend(per)
                 regular = all((n <= 8 or (n & (n - 1)) == 0) and not folded
-                              for n, _, _, folded in per)
+                              for n, _, _, folded, _ in per)
                 per_constraint.append((regular, bld.comparators,
                                        cost_of(COMP, s, base),
-                                       sum(new for _, _, new, _ in per)))
+                                       sum(new for _, _, new, _, _ in per),
+                                       sum(planned for *_, planned in per)))
             solver = Solver(bld.clauses, bld.num_vars)
             for bits in itertools.product([False, True], repeat=len(ids)):
                 assignment = dict(zip(ids, bits))
@@ -180,30 +180,37 @@ def _equisat_sweep():
 
 
 def _per_network(c, base):
-    """Re-encode network by network to attribute comparators to sizes, and
-    replay each network's pairs on symbolic wires: a pair of equal wires
-    passes them through, and only a pair no earlier network of the
-    constraint sorted is new.  Per network: (size, comparators emitted,
-    new pairs in the replay, whether any pair was equal or repeated)."""
+    """Re-encode network by network, every line built, to attribute
+    comparators to sizes, and replay each network's pairs on symbolic
+    wires: a pair of equal wires passes them through, and only a pair no
+    earlier network of the constraint sorted is new.  Per network: (size,
+    comparators emitted, new pairs in the replay, whether any pair was
+    equal or repeated, new pairs among those the encoder's plan for the
+    comparison keeps)."""
     out = []
     probe = CnfBuilder(10**6)
     buses = decompose(c, base)
+    plans = _plans(buses, base, digits_of(c.threshold, base))
     carries = replay_carries = ()
-    sorted_pairs = set()
+    sorted_pairs, planned_pairs = set(), set()
     for j in range(len(base) + 1):
         before = probe.comparators
         sorted_bus = sorting_network(buses[j] + carries, probe)
         wires = list(buses[j] + replay_carries)
         n = len(wires)
-        pairs = OPTIMAL_NETWORKS[n] if n <= 8 else _merge_exchange_pairs(n)
-        new = 0
+        pairs = _pairwise_pairs(n)
+        kept = {pair for pair, want in zip(_pairwise_pairs(n), plans[j][0]) if want}
+        new = planned = 0
         for i, k in pairs:
             if wires[i] != wires[k]:
                 pair = frozenset((wires[i], wires[k]))
                 new += pair not in sorted_pairs
                 sorted_pairs.add(pair)
+                if (i, k) in kept:
+                    planned += pair not in planned_pairs
+                    planned_pairs.add(pair)
                 wires[i], wires[k] = ("or", pair), ("and", pair)
-        out.append((n, probe.comparators - before, new, new < len(pairs)))
+        out.append((n, probe.comparators - before, new, new < len(pairs), planned))
         if j < len(base):
             carries = sorted_bus[base[j] - 1::base[j]]
             replay_carries = tuple(wires[base[j] - 1::base[j]])
@@ -223,20 +230,23 @@ def test_06_comparator_accounting():
         _, networks, per_constraint = _equisat_sweep()
         assert networks, "sweep produced no networks"
         exact = folded_networks = 0
-        for size, emitted, new, folded in networks:
+        for size, emitted, new, folded, _ in networks:
             assert emitted == new, (size, emitted, new)
             folded_networks += folded
             if not folded and (size <= 8 or (size & (size - 1)) == 0):
                 assert emitted == comparator_count(size), (size, emitted)
                 exact += 1
         assert exact > 0 and folded_networks > 0
-        checked = 0
-        for regular, emitted_total, model_total, replayed_total in per_constraint:
-            assert emitted_total == replayed_total
+        # the comparison builds the distinct pairs its plan keeps: the model's
+        # count on regular unfolded networks, less what no read line needs
+        checked = pruned = 0
+        for regular, emitted, model, replayed, planned in per_constraint:
+            assert emitted == planned <= replayed
+            pruned += planned < replayed
             if regular:
-                assert emitted_total == model_total
+                assert replayed == model
                 checked += 1
-        assert checked > 0
+        assert checked > 0 and pruned > 0
 
 
 def test_07_base_count_bound():

@@ -243,8 +243,11 @@ def test_encode_large_radix_counts(capsys, tmp_path):
                      "--base", "2,1000003")
     assert code == 0
     totals = json.loads((tmp_path / "t.cnf.stats.json").read_text())["totals"]
-    assert (totals["vars"], totals["clauses"]) == (28, 79)
-    assert "p cnf 28 79" in out_cnf.read_text().splitlines()
+    # the counts follow the buses, not the radix: the comparison reads one
+    # line of the one nonempty network, x1 three times and x2 five times
+    # (30 vars and 85 clauses with every line of the network built)
+    assert (totals["vars"], totals["clauses"]) == (19, 52)
+    assert "p cnf 19 52" in out_cnf.read_text().splitlines()
 
 
 def test_encode_parse_error_exit_code(capsys, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from optibase.cost import (BaseEval, CostKind, _comparator_count_vec,
                            comparator_count, cost_of)
-from optibase.encoder import PbConstraint, _merge_exchange_pairs, decompose
+from optibase.encoder import PbConstraint, _pairwise_pairs, decompose
 from optibase.mixedradix import Multiset
 from optibase.search import (COMP_SUM_LIMIT, SearchConfig, _children,
                              extenders, initial_best, radix_array)
@@ -67,10 +67,10 @@ def test_comparator_count_table_and_formula():
 
 
 def test_comparator_count_matches_generated_networks():
-    # for powers of two the formula counts the merge exchange exactly
+    # for powers of two the formula counts the pairwise network exactly
     for k in range(1, 9):
         n = 1 << k
-        assert comparator_count(n) == len(_merge_exchange_pairs(n))
+        assert comparator_count(n) == len(_pairwise_pairs(n))
 
 
 def test_comparator_count_monotone_and_superadditive():

@@ -3,6 +3,7 @@ import random
 from dataclasses import asdict
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +12,10 @@ from optibase import encoder
 from optibase.cost import CostKind, comparator_count, cost_of
 from optibase.encoder import (FALSE, MAX_VARIABLES, TRUE, CnfBuilder,
                               PbConstraint, Cnf, _and2, _disjuncts,
-                              _merge_exchange_pairs, _or_many, comparator,
-                              decompose, encode_constraint, encode_geq,
-                              encode_instance, sorting_network, to_dimacs)
-from optibase.mixedradix import Multiset, digits_of
+                              _or_many, _pairwise_pairs, comparator, decompose,
+                              encode_constraint, encode_geq, encode_instance,
+                              normalizer, sorting_network, to_dimacs)
+from optibase.mixedradix import Multiset, digits_of, weights
 from optibase.opb import load_instance
 from optibase.satcheck import Solver
 from optibase.search import SearchConfig, find_base
@@ -103,7 +104,7 @@ def _folded(clauses):
     return kept
 
 
-def _reference_comparator(a, b, bld):
+def _reference_comparator(a, b, bld, want=3):
     if a == TRUE or b == FALSE:
         return a, b
     if b == TRUE or a == FALSE:
@@ -114,23 +115,33 @@ def _reference_comparator(a, b, bld):
         return TRUE, FALSE
     key = frozenset((a, b))
     if key not in bld.gates:
-        hi, lo = bld.gates[key] = bld.fresh(), bld.fresh()
-        six = [[-hi, a, b], [-lo, a], [-lo, b], [-a, hi], [-b, hi], [-a, -b, lo]]
-        bld.clauses += _folded(six if bld.polarity == "full" else six[:3])
+        bld.gates[key] = [None, None]
         bld.comparators += 1
-    return bld.gates[key]
+    out = bld.gates[key]
+    for k in (0, 1):
+        if want >> k & 1 and out[k] is None:
+            v = out[k] = bld.fresh()
+            three = ([[-v, a, b], [-a, v], [-b, v]], [[-v, a], [-v, b], [-a, -b, v]])[k]
+            bld.clauses += _folded(three if bld.polarity == "full" else three[:k + 1])
+    return tuple(out)
 
 
 @pytest.mark.parametrize("polarity", ["full", "monotone"])
 def test_comparator_matches_the_folded_six_clauses(polarity):
-    # one builder for every pair, so repeated pairs in either order share
+    # one builder for every pair, so repeated pairs in either order share;
+    # first both outputs at once (want 3), then each output of a pair on
+    # its own (1 for hi, 2 for lo)
     lits = (TRUE, FALSE, 1, -1, 2, -2)
-    got, ref = CnfBuilder(2, polarity), CnfBuilder(2, polarity)
-    for a, b in itertools.product(lits, repeat=2):
-        assert comparator(a, b, got) == _reference_comparator(a, b, ref), (a, b)
-        assert got.clauses == ref.clauses, (a, b)
-        assert (got.num_vars, got.comparators) == (ref.num_vars, ref.comparators)
-    assert got.comparators == 4  # {1, 2}, {1, -2}, {-1, 2}, {-1, -2}
+    for first, then in ((3, 3), (2, 1), (1, 3)):
+        got, ref = CnfBuilder(2, polarity), CnfBuilder(2, polarity)
+        for want in (first, then):
+            for a, b in itertools.product(lits, repeat=2):
+                assert (comparator(a, b, got, want)
+                        == _reference_comparator(a, b, ref, want)), (a, b, want)
+                assert got.clauses == ref.clauses, (a, b, want)
+                assert (got.num_vars, got.comparators) == (ref.num_vars, ref.comparators)
+        assert got.comparators == 4  # {1, 2}, {1, -2}, {-1, 2}, {-1, -2}
+        assert got.num_vars == 2 + 8
 
 
 def _reference_and2(a, b, bld):
@@ -194,9 +205,10 @@ def test_sorting_network_small_counts_and_sortedness(n):
         assert got == sorted(bits, reverse=True)
 
 
-# comparators of Batcher's merge exchange on n distinct inputs
-MERGE_EXCHANGE_COMPARATORS = {9: 26, 16: 63, 17: 74, 33: 207, 65: 565,
-                              129: 1500, 257: 3876, 500: 9505, 1000: 23499}
+# comparators of the pairwise network on n distinct inputs, which are those
+# of Batcher's merge exchange
+PAIRWISE_COMPARATORS = {9: 26, 16: 63, 17: 74, 33: 207, 65: 565,
+                        129: 1500, 257: 3876, 500: 9505, 1000: 23499}
 
 
 @pytest.mark.parametrize("n", [9, 11, 13, 16, 17, 33, 65, 129, 257, 500, 1000])
@@ -204,8 +216,8 @@ def test_sorting_network_large(n):
     bld = CnfBuilder(n)
     out = sorting_network(tuple(range(1, n + 1)), bld)
     assert len(out) == n
-    if n in MERGE_EXCHANGE_COMPARATORS:
-        assert bld.comparators == MERGE_EXCHANGE_COMPARATORS[n]
+    if n in PAIRWISE_COMPARATORS:
+        assert bld.comparators == PAIRWISE_COMPARATORS[n]
     if n & (n - 1) == 0:
         assert bld.comparators == comparator_count(n)
     solver = Solver(bld.clauses, bld.num_vars)
@@ -220,7 +232,32 @@ def test_sorting_network_large(n):
 def test_batcher_pair_counts_match_formula():
     for k in range(1, 9):
         n = 1 << k
-        assert len(_merge_exchange_pairs(n)) == n * k * (k - 1) // 4 + n - 1
+        assert len(_pairwise_pairs(n)) == n * k * (k - 1) // 4 + n - 1
+
+
+def _sorts_descending(pairs, vectors):
+    """Apply the comparators to 0-1 vectors, one per column: the larger
+    value of each pair moves to its first wire.  True when every column
+    comes out sorted."""
+    w = vectors.copy()
+    for i, j in pairs:
+        w[i], w[j] = np.maximum(w[i], w[j]), np.minimum(w[i], w[j])
+    return bool((w[:-1] >= w[1:]).all())
+
+
+def test_pairwise_pairs_sort_by_the_zero_one_principle():
+    # every 0-1 vector up to 12 wires, then random vectors of every density
+    rng = np.random.default_rng(8)
+    for n in range(13):
+        pairs = _pairwise_pairs(n)
+        assert all(0 <= i < j < n for i, j in pairs)
+        vectors = (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
+        assert _sorts_descending(pairs, vectors), n
+    for n in (13, 16, 17, 31, 64, 100, 127, 255, 513, 1000):
+        pairs = _pairwise_pairs(n)
+        assert len(pairs) == comparator_count(n) or n & (n - 1)
+        vectors = (rng.random((n, 64)) < rng.random(64)).astype(np.int8)
+        assert _sorts_descending(pairs, vectors), n
 
 
 def test_normalizer_shapes():
@@ -401,12 +438,14 @@ def test_encode_constraint_unreachable_threshold():
 
 
 def test_encode_constraint_pure_cardinality():
-    # all-unit coefficients over the empty base: one network, one unit clause
+    # all-unit coefficients over the empty base: one network, one unit
+    # clause; the comparison reads one line of five, and one of the model's
+    # nine comparators builds none of the lines that line needs
     c = PbConstraint(tuple((1, i + 1) for i in range(5)), 3)
     bld = CnfBuilder(5)
     encode_constraint(c, (), bld)
     assert bld.network_sizes == [5]
-    assert bld.comparators == comparator_count(5)
+    assert bld.comparators == comparator_count(5) - 1
     units = [cl for cl in bld.clauses if len(cl) == 1]
     assert len(units) == 1
 
@@ -568,8 +607,9 @@ def test_encode_instance_forced_base_stats():
     assert st.network_sizes == (1, 6, 2, 1)
     assert st.cost_value == 10
     # the middle bus holds x5 twice, and comparator(x5, x5) folds: comp
-    # counts one comparator more than is emitted
-    assert st.comparators == 12 and st.clauses == 91
+    # counts one comparator more than is emitted; three comparator outputs
+    # the comparison does not read are not built (91 clauses if they were)
+    assert st.comparators == 12 and st.clauses == 82 and st.vars == 27
     assert cost_of(CostKind.NUM_COMP, Multiset.of([2, 2, 2, 2, 5, 18]), (2, 3, 3)) == 13
 
 
@@ -704,6 +744,82 @@ def test_encode_instance_equality_halves_share_remainder_lines():
     assert clauses <= 11_598 and num_vars <= 4_123
 
 
+def _reached(clauses):
+    """The clauses and variables reached from the unit clauses when each
+    clause defines its largest variable: a clause is reached once a
+    reached clause holds the variable it defines."""
+    defining = {}
+    for k, cl in enumerate(clauses):
+        defining.setdefault(max(map(abs, cl)), []).append(k)
+    todo = [k for k, cl in enumerate(clauses) if len(cl) == 1]
+    seen_clauses, seen_vars = set(), set()
+    while todo:
+        k = todo.pop()
+        if k not in seen_clauses:
+            seen_clauses.add(k)
+            for v in map(abs, clauses[k]):
+                if v not in seen_vars:
+                    seen_vars.add(v)
+                    todo += defining.get(v, [])
+    return seen_clauses, seen_vars
+
+
+def test_planned_cnf_is_one_cone_from_the_comparisons():
+    # coefficients whose digits are 0 or 1, so no digit bus repeats a literal;
+    # an = splits into two halves, and a term vector is read again by a
+    # constraint with another threshold
+    rng = random.Random(81)
+    cfg = SearchConfig(kind=CostKind.SUM_CARRY)
+    cases = 0
+    for _ in range(120):
+        base = rng.choice([(), (2,), (2, 2), (2, 2, 2), (3, 2), (2, 3, 2), (3, 3), (5, 2)])
+        n = rng.randint(2, 7)
+        coefs = []
+        for _ in range(n):
+            digits = [0] * (len(base) + 1)
+            while not any(digits):
+                digits = [rng.random() < 0.5 for _ in digits]
+            coefs.append(sum(d * w for d, w in zip(digits, weights(base))))
+        terms = tuple((c, v if rng.random() < 0.6 else -v)
+                      for c, v in zip(coefs, range(1, n + 1)))
+        total = sum(coefs)
+        cons = [PbConstraint(terms, rng.randint(1, total))]
+        if cons[0].threshold < total:  # the other half of an =
+            cons.append(PbConstraint(tuple((c, -lit) for c, lit in terms),
+                                     total - cons[0].threshold))
+        cons.append(PbConstraint(terms, rng.randint(1, total)))
+        rng.shuffle(cons)
+        for polarity in ("full", "monotone"):
+            cnf, stats = encode_instance(cons, n, cfg, forced_base=base,
+                                         polarity=polarity)
+            clauses, variables = _reached(cnf.clauses)
+            assert len(clauses) == len(cnf.clauses), (cons, base, polarity)
+            assert variables == set(range(1, cnf.num_vars + 1)), (cons, base, polarity)
+            cases += len(cons) > 2 and any(st.network_of is not None for st in stats)
+    assert cases > 50
+
+
+def test_reading_an_unbuilt_line_raises():
+    # at least 3 of 5 reads one line of the one sorted bus; the lines no
+    # comparison read hold None, and reading one fails before any clause
+    # could hold a literal 0
+    bld = CnfBuilder(5)
+    (bus,) = encode_constraint(PbConstraint(tuple((1, v) for v in range(1, 6)), 3), (), bld)
+    assert [k for k, line in enumerate(bus) if line is not None] == [2]
+    for k in (0, 1, 3, 4):
+        with pytest.raises(TypeError):
+            normalizer(bus, 6, k + 1, bld)
+        with pytest.raises(TypeError):
+            encode_geq([bus], (), (k + 1,), bld)
+    assert all(0 not in cl for cl in bld.clauses)
+    # nothing is read below a position the comparison cannot reach, nor in
+    # a network without carries: >= 4 over 6x1 + 6x2 + 2x3 + x4 in base
+    # (2, 3) is x1 or x2, and the buses of x4 and x3 hold no line
+    buses = encode_constraint(PbConstraint(((6, 1), (6, 2), (2, 3), (1, 4)), 4),
+                              (2, 3), CnfBuilder(4))
+    assert buses[:2] == [(None,), (None,)] and buses[2][1] is None
+
+
 def test_encode_instance_without_fallback_keeps_best_so_far(monkeypatch):
     cfg = SearchConfig(kind=CostKind.SUM_CARRY, max_elem=50,
                        primes_only=False, timeout=1e-9)
@@ -724,6 +840,30 @@ def test_encode_instance_without_fallback_keeps_best_so_far(monkeypatch):
     for st, m in zip(stats, multisets):
         assert st.base == searched[m].best_base
         assert not st.fallback_binary
+
+
+def test_builder_input_range():
+    # CnfBuilder(-3).fresh() used to return -2, and a literal above the
+    # reserved inputs shared its id with a gate: with one input reserved,
+    # x2 and x3 became comparator outputs and the CNF was wrong on 3 of 8
+    # assignments
+    with pytest.raises(ValueError, match="input"):
+        CnfBuilder(-3)
+    c = PbConstraint(((3, 1), (5, 2), (6, 3)), 8)
+    for reserved in (0, 1, 2):
+        with pytest.raises(ValueError, match="past the"):
+            encode_constraint(c, (2,), CnfBuilder(reserved))
+    with pytest.raises(ValueError, match="variable 2 is past the 1 input"):
+        encode_constraint(PbConstraint(((3, -2), (5, 1)), 9), (), CnfBuilder(1))
+    _equisat_check(c, (2,))
+
+
+def test_non_integral_terms_are_refused():
+    # (2.5, 1) used to be accepted, and encoding it raised TypeError
+    for terms, threshold in ((((2.5, 1), (3, 2)), 2), (((2, 1), (3, 2)), 2.0),
+                             (((2.0, 1),), 1), (((2, 1.0),), 1), ((("3", 1),), 1)):
+        with pytest.raises(ValueError):
+            PbConstraint(terms, threshold)
 
 
 def test_fresh_variable_budget_guard():
@@ -757,9 +897,9 @@ def test_encode_instance_emits_no_repeated_clause(monkeypatch):
     # halves of = reading one network: no clause may be written twice
     equal_inputs = []
 
-    def counting_comparator(a, b, bld):
+    def counting_comparator(a, b, bld, *want):
         equal_inputs.append(a == b)
-        return comparator(a, b, bld)
+        return comparator(a, b, bld, *want)
 
     monkeypatch.setattr(encoder, "comparator", counting_comparator)
     rng = random.Random(61)

@@ -206,3 +206,13 @@ def test_non_integral_values_are_refused():
     assert base == (3, 2) and all(type(r) is int for r in base)
     s = Multiset.of(np.array([5, 2], dtype=np.int32))
     assert s.elements == (2, 5) and all(type(v) is int for v in s)
+
+
+def test_weights_and_digits_check_their_base():
+    # weights((0, 2)) used to return (1, 0, 0) and digits_of(5, (0,)) to
+    # raise ZeroDivisionError
+    for base in ((0, 2), (1,), (-2, 3), (2, 2.5)):
+        with pytest.raises(ValueError):
+            weights(base)
+        with pytest.raises(ValueError):
+            digits_of(5, base)
